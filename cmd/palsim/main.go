@@ -33,7 +33,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -63,8 +65,8 @@ func main() {
 		lacross    = flag.Float64("lacross", 1.5, "inter-node locality penalty")
 		perModel   = flag.Bool("per-model-lacross", false, "use per-model locality penalties (Table II)")
 		seed       = flag.Uint64("seed", 0xE4B, "experiment seed")
-		utilize    = flag.Bool("util", false, "print the GPUs-in-use series (deciles)")
-		events     = flag.Int("events", 0, "print the first N lifecycle events")
+		utilize    = flag.Bool("util", false, "print the GPUs-in-use series (deciles), read from the metrics collector")
+		events     = flag.Int("events", 0, "print the first N jobs' lifecycle records (arrival, first run, finish, preemptions, migrations, rejected); palexplain -job has the per-event timeline")
 		asJSON     = flag.Bool("json", false, "print aggregate metrics as JSON")
 		scenPath   = flag.String("scenario", "", "run a declarative scenario spec (JSON) instead of the flag-built configuration")
 		dumpTrace  = flag.String("dump-trace", "", "with -scenario: save the scenario's workload as JSON for replay via a file-sourced spec")
@@ -91,8 +93,12 @@ func main() {
 		}
 	}
 
+	out := outputFlags{
+		asJSON: *asJSON, events: *events, utilize: *utilize,
+		metricsDir: *metricsDir, decisions: *decisions, storeDir: *storeDir,
+	}
 	if *scenPath != "" {
-		runScenario(*scenPath, *dumpTrace, *asJSON, *events, *utilize, *metricsDir, *decisions, *storeDir)
+		runScenario(os.Stdout, *scenPath, *dumpTrace, out)
 		finishJournal()
 		return
 	}
@@ -141,39 +147,57 @@ func main() {
 		Profile:         experiments.LonghornProfile(topo.Size()),
 		Lacross:         *lacross,
 		Seed:            *seed,
-		RecordUtil:      *utilize,
-		RecordEvents:    *events > 0,
-		RecordMetrics:   *metricsDir != "",
 		RecordDecisions: *decisions,
 		Counters:        engineCtrs,
 	}
 	if *perModel {
 		spec.ModelLacross = trace.LacrossByModel()
 	}
+	runFlagSpec(os.Stdout, spec, out)
+	finishJournal()
+}
 
-	label := fmt.Sprintf("%s %s %s", tr.Name, spec.Policy.RegistryName(), s.Name())
-	res := throughStore(*storeDir, spec.Key(), label, func() (*sim.Result, error) {
+// outputFlags are the output-shaping flags both run paths honor.
+type outputFlags struct {
+	asJSON     bool
+	events     int  // print the first N lifecycle records
+	utilize    bool // print the gpus_in_use deciles
+	metricsDir string
+	decisions  bool
+	storeDir   string
+}
+
+// collector reports whether the output flags need a metrics collector
+// and which series it records (nil: every series). -metrics archives
+// every series; -util and -events alone need only gpus_in_use (the
+// deciles) and the lifecycle records every collector derives.
+func (o outputFlags) collector() (on bool, series []string) {
+	switch {
+	case o.metricsDir != "":
+		return true, nil
+	case o.utilize || o.events > 0:
+		return true, []string{metrics.SeriesGPUsInUse}
+	}
+	return false, nil
+}
+
+// runFlagSpec runs the flag-built configuration (through the store when
+// -store is set) and prints or archives its outputs. It returns the
+// result for tests.
+func runFlagSpec(w io.Writer, spec experiments.RunSpec, out outputFlags) *sim.Result {
+	spec.RecordMetrics, spec.MetricsSeries = out.collector()
+	policy, schedName := spec.Policy.RegistryName(), spec.Sched.Name()
+	label := fmt.Sprintf("%s %s %s", spec.Trace.Name, policy, schedName)
+	res := throughStore(out.storeDir, spec.Key(), label, func() (*sim.Result, error) {
 		return experiments.Run(spec)
 	})
-
-	if *metricsDir != "" {
-		base := fmt.Sprintf("%s-%s-%s", tr.Name, spec.Policy.RegistryName(), s.Name())
-		dumpMetrics(*metricsDir, base, res, spec.Key())
+	if out.metricsDir != "" {
+		dumpMetrics(out.metricsDir, fmt.Sprintf("%s-%s-%s", spec.Trace.Name, policy, schedName), res, spec.Key())
 	}
-
-	if *asJSON {
-		if err := export.ResultJSON(os.Stdout, res); err != nil {
-			fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-			os.Exit(1)
-		}
-		finishJournal()
-		return
-	}
-
 	header := fmt.Sprintf("trace=%s jobs=%d cluster=%d GPUs policy=%s sched=%s lacross=%.2f",
-		tr.Name, len(tr.Jobs), topo.Size(), pol, s.Name(), *lacross)
-	printMetrics(header, res, *events, *utilize)
-	finishJournal()
+		spec.Trace.Name, len(spec.Trace.Jobs), spec.Topo.Size(), spec.Policy, schedName, spec.Lacross)
+	report(w, header, res, out)
+	return res
 }
 
 // Journal state for the optional -journal/-cpuprofile/-memprofile
@@ -329,12 +353,13 @@ func dumpMetrics(dir, base string, res *sim.Result, key string) {
 	}
 }
 
-// runScenario executes a declarative scenario spec end to end.
-// -events, -util and -metrics are output-shaping flags, not
-// configuration, so they are honored by switching the spec's recording
-// knobs on (with a re-Normalize so the forced spec canonicalizes — and
-// cache-keys — exactly like a file that enabled them).
-func runScenario(path, dumpTrace string, asJSON bool, events int, utilize bool, metricsDir string, decisions bool, storeDir string) {
+// runScenario executes a declarative scenario spec end to end and
+// returns the result for tests. -events, -util, -metrics and -decisions
+// are output-shaping flags, not configuration, so they are honored by
+// switching the spec's metrics and decisions blocks on (with a
+// re-Normalize so the forced spec canonicalizes — and cache-keys —
+// exactly like a file that enabled them).
+func runScenario(w io.Writer, path, dumpTrace string, out outputFlags) *sim.Result {
 	// The spec owns the whole configuration; a flag-built knob alongside
 	// it would be silently ignored, so reject the combination.
 	conflicting := map[string]bool{
@@ -354,21 +379,19 @@ func runScenario(path, dumpTrace string, asJSON bool, events int, utilize bool, 
 		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
 		os.Exit(2)
 	}
-	if events > 0 {
-		spec.Engine.RecordEvents = true
+	if on, series := out.collector(); on {
+		switch {
+		case !spec.Metrics.Enabled:
+			spec.Metrics.Enabled, spec.Metrics.Series = true, series
+		case out.utilize && len(spec.Metrics.Series) > 0 && !slices.Contains(spec.Metrics.Series, metrics.SeriesGPUsInUse):
+			// The spec's own collector leaves out the series -util reads.
+			spec.Metrics.Series = append(spec.Metrics.Series, metrics.SeriesGPUsInUse)
+		}
 	}
-	if utilize {
-		spec.Engine.RecordUtilization = true
-	}
-	if metricsDir != "" {
-		spec.Metrics.Enabled = true
-	}
-	if decisions {
+	if out.decisions {
 		spec.Decisions.Enabled = true
 	}
-	if metricsDir != "" || decisions {
-		spec.Normalize()
-	}
+	spec.Normalize()
 	built, err := spec.Build()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
@@ -392,65 +415,94 @@ func runScenario(path, dumpTrace string, asJSON bool, events int, utilize bool, 
 		}
 		fmt.Fprintf(os.Stderr, "palsim: saved %d-job workload to %s\n", len(built.Trace.Jobs), dumpTrace)
 	}
-	res := throughStore(storeDir, built.Key(), "scenario "+spec.Name, built.Run)
-	if metricsDir != "" {
-		dumpMetrics(metricsDir, spec.Name, res, built.Key())
+	res := throughStore(out.storeDir, built.Key(), "scenario "+spec.Name, built.Run)
+	if out.metricsDir != "" {
+		dumpMetrics(out.metricsDir, spec.Name, res, built.Key())
 	}
-	if asJSON {
-		if err := export.ResultJSON(os.Stdout, res); err != nil {
+	header := fmt.Sprintf("scenario=%s trace=%s jobs=%d cluster=%d GPUs policy=%s sched=%s lacross=%.2f key=%s",
+		spec.Name, built.Trace.Name, len(built.Trace.Jobs), built.Topo.Size(),
+		spec.Policy.Name, spec.Sched.Name, spec.Locality.Lacross, built.Key()[:12])
+	report(w, header, res, out)
+	return res
+}
+
+// report writes the run's aggregate metrics (as JSON with -json), then
+// the -events lifecycle records and the -util deciles, both read from
+// the metrics collector the output flags attached.
+func report(w io.Writer, header string, res *sim.Result, out outputFlags) {
+	if out.asJSON {
+		if err := export.ResultJSON(w, res); err != nil {
 			fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
-	header := fmt.Sprintf("scenario=%s trace=%s jobs=%d cluster=%d GPUs policy=%s sched=%s lacross=%.2f key=%s",
-		spec.Name, built.Trace.Name, len(built.Trace.Jobs), built.Topo.Size(),
-		spec.Policy.Name, spec.Sched.Name, spec.Locality.Lacross, built.Key()[:12])
-	printMetrics(header, res, events, utilize || spec.Engine.RecordUtilization)
-}
-
-// printMetrics renders the aggregate metric block shared by the
-// flag-built and scenario paths.
-func printMetrics(header string, res *sim.Result, events int, utilize bool) {
 	jcts := res.JCTs()
 	waits := res.Waits()
-	fmt.Println(header)
+	fmt.Fprintln(w, header)
 	if res.Truncated {
-		fmt.Printf("  TRUNCATED at %d rounds: %d jobs unfinished; metrics cover completed jobs only\n",
+		fmt.Fprintf(w, "  TRUNCATED at %d rounds: %d jobs unfinished; metrics cover completed jobs only\n",
 			res.Rounds, res.Unfinished)
 	}
-	fmt.Printf("  avg JCT      %10.1f s (%.2f h)\n", stats.Mean(jcts), stats.Mean(jcts)/3600)
-	fmt.Printf("  p50 JCT      %10.1f s\n", stats.Percentile(jcts, 50))
-	fmt.Printf("  p99 JCT      %10.1f s\n", stats.Percentile(jcts, 99))
-	fmt.Printf("  mean wait    %10.1f s\n", stats.Mean(waits))
-	fmt.Printf("  makespan     %10.1f s (%.2f h)\n", res.Makespan, res.Makespan/3600)
-	fmt.Printf("  utilization  %10.2f%%\n", 100*res.Utilization)
-	fmt.Printf("  rounds       %10d\n", res.Rounds)
-	if events > 0 {
-		fmt.Println("  events:")
-		for i, ev := range res.Events {
-			if i >= events {
-				fmt.Printf("    ... (%d more)\n", len(res.Events)-i)
-				break
-			}
-			fmt.Printf("    %s\n", ev)
-		}
+	fmt.Fprintf(w, "  avg JCT      %10.1f s (%.2f h)\n", stats.Mean(jcts), stats.Mean(jcts)/3600)
+	fmt.Fprintf(w, "  p50 JCT      %10.1f s\n", stats.Percentile(jcts, 50))
+	fmt.Fprintf(w, "  p99 JCT      %10.1f s\n", stats.Percentile(jcts, 99))
+	fmt.Fprintf(w, "  mean wait    %10.1f s\n", stats.Mean(waits))
+	fmt.Fprintf(w, "  makespan     %10.1f s (%.2f h)\n", res.Makespan, res.Makespan/3600)
+	fmt.Fprintf(w, "  utilization  %10.2f%%\n", 100*res.Utilization)
+	fmt.Fprintf(w, "  rounds       %10d\n", res.Rounds)
+	payload := metrics.FromResult(res)
+	if out.events > 0 && payload != nil {
+		printLifecycle(w, payload.Jobs, out.events)
 	}
-	if utilize && len(res.UtilSeries) > 0 {
-		fmt.Printf("  in-use (deciles):")
-		n := len(res.UtilSeries)
-		for d := 0; d < 10; d++ {
-			sum, count := 0, 0
-			for i := d * n / 10; i < (d+1)*n/10; i++ {
-				sum += res.UtilSeries[i].InUse
-				count++
-			}
-			if count > 0 {
-				fmt.Printf(" %d", sum/count)
-			}
-		}
-		fmt.Println()
+	if inUse, ok := payload.SeriesByName(metrics.SeriesGPUsInUse); out.utilize && ok {
+		printDeciles(w, inUse.Values)
 	}
+}
+
+// printLifecycle writes the first n jobs' lifecycle records; "-" marks
+// a job that never ran or never finished.
+func printLifecycle(w io.Writer, jobs []metrics.JobRecord, n int) {
+	fmt.Fprintf(w, "  lifecycle (first %d of %d jobs):\n", min(n, len(jobs)), len(jobs))
+	fmt.Fprintf(w, "    %5s %10s %10s %10s %7s %7s %8s\n",
+		"job", "arrival", "first run", "finish", "preempt", "migrate", "rejected")
+	orDash := func(ok bool, v float64) string {
+		if !ok {
+			return "-"
+		}
+		return fmt.Sprintf("%.0f", v)
+	}
+	for _, j := range jobs[:min(n, len(jobs))] {
+		rejected := "-"
+		if j.Rejected {
+			rejected = "yes"
+		}
+		fmt.Fprintf(w, "    %5d %10.0f %10s %10s %7d %7d %8s\n", j.ID, j.Arrival,
+			orDash(j.Started, j.FirstRun), orDash(j.Done && !j.Rejected, j.Finish),
+			j.Preemptions, j.Migrations, rejected)
+	}
+}
+
+// printDeciles writes the mean GPUs in use over ten equal slices of the
+// sampled rounds (integer means, like the GPU counts themselves).
+func printDeciles(w io.Writer, inUse []float64) {
+	if len(inUse) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "  in-use (deciles):")
+	n := len(inUse)
+	for d := 0; d < 10; d++ {
+		slice := inUse[d*n/10 : (d+1)*n/10]
+		if len(slice) == 0 {
+			continue
+		}
+		sum := 0
+		for _, v := range slice {
+			sum += int(v)
+		}
+		fmt.Fprintf(w, " %d", sum/len(slice))
+	}
+	fmt.Fprintln(w)
 }
 
 func policyByName(name string) (experiments.Policy, bool) {

@@ -1,0 +1,201 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/metrics"
+	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// seriesNames lists the metrics series a result carries.
+func seriesNames(t *testing.T, res *sim.Result) []string {
+	t.Helper()
+	p := metrics.FromResult(res)
+	if p == nil {
+		t.Fatal("result carries no metrics payload")
+	}
+	var names []string
+	for _, s := range p.Series {
+		names = append(names, s.Name)
+	}
+	return names
+}
+
+// coldThenWarm runs one palsim invocation twice against a fresh store:
+// the first simulates and stores, the second must load the result and
+// print exactly the same report.
+func coldThenWarm(t *testing.T, run func(out outputFlags) (*sim.Result, string), out outputFlags) (*sim.Result, string) {
+	t.Helper()
+	resetJournalState()
+	defer resetJournalState()
+	out.storeDir = filepath.Join(t.TempDir(), "store")
+	res, cold := run(out)
+	if cacheTally.Stored != 1 {
+		t.Fatalf("cold run stored %d results, want 1", cacheTally.Stored)
+	}
+	_, warm := run(out)
+	if cacheTally.StoreHits != 1 {
+		t.Fatalf("warm run: %d store hits, want 1", cacheTally.StoreHits)
+	}
+	if warm != cold {
+		t.Errorf("warm store hit printed a different report:\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+	return res, cold
+}
+
+// synergyFlagSpec is the configuration `palsim -trace synergy -jobs 200`
+// builds from its flag defaults.
+func synergyFlagSpec() experiments.RunSpec {
+	params := trace.DefaultSynergyParams(10)
+	params.NumJobs = 200
+	topo := experiments.SynergyTopology()
+	return experiments.RunSpec{
+		Trace:   trace.Synergy(params),
+		Topo:    topo,
+		Sched:   sched.ByName("fifo"),
+		Policy:  experiments.PALPolicy,
+		Profile: experiments.LonghornProfile(topo.Size()),
+		Lacross: 1.5,
+		Seed:    0xE4B,
+	}
+}
+
+// The deciles below are the values palsim printed for the same runs
+// from the engine-side series that the collector's gpus_in_use series
+// replaced; the pins hold the collector to them.
+const (
+	synergyDeciles   = "  in-use (deciles): 81 225 202 150 121 109 49 35 33 32\n"
+	synergyLifecycle = `  lifecycle (first 4 of 200 jobs):
+      job    arrival  first run     finish preempt migrate rejected
+        0        820        820      33947       0       0        -
+        1       1239       1420      22078       0       0        -
+        2       1798       2020      25567       0       0        -
+        3       1872       2020     196658       0       0        -
+`
+)
+
+func TestUtilAndEventsFlagPath(t *testing.T) {
+	run := func(out outputFlags) (*sim.Result, string) {
+		var buf bytes.Buffer
+		res := runFlagSpec(&buf, synergyFlagSpec(), out)
+		return res, buf.String()
+	}
+	res, report := coldThenWarm(t, run, outputFlags{utilize: true, events: 4})
+	if !strings.Contains(report, synergyDeciles) {
+		t.Errorf("deciles line missing, want %q in:\n%s", synergyDeciles, report)
+	}
+	if !strings.Contains(report, synergyLifecycle) {
+		t.Errorf("lifecycle rows missing, want\n%s\nin:\n%s", synergyLifecycle, report)
+	}
+	if got := seriesNames(t, res); !reflect.DeepEqual(got, []string{metrics.SeriesGPUsInUse}) {
+		t.Errorf("-util recorded series %v, want only %s", got, metrics.SeriesGPUsInUse)
+	}
+}
+
+// flagsTestSpec is a small scenario with no metrics block of its own.
+const flagsTestSpec = `{
+  "name": "palsim-flags-test",
+  "seed": 3,
+  "cluster": {"nodes": 2, "gpus_per_node": 4},
+  "workload": {"source": "synthetic", "num_jobs": 24, "jobs_per_hour": 12, "median_work_sec": 1800},
+  "policy": {"name": "pal"}
+}`
+
+const (
+	scenarioDeciles   = "  in-use (deciles): 4 8 8 8 6 3 4 2 1 1\n"
+	scenarioLifecycle = `  lifecycle (first 4 of 24 jobs):
+      job    arrival  first run     finish preempt migrate rejected
+        0        237        237      13575       0       0        -
+        1        289        537       1450       0       0        -
+        2        469        537       1999       0       0        -
+        3        796        837       1837       0       0        -
+`
+)
+
+// writeSpec writes a spec file into a temp directory.
+func writeSpec(t *testing.T, src string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestUtilAndEventsScenarioPath(t *testing.T) {
+	path := writeSpec(t, flagsTestSpec)
+	run := func(out outputFlags) (*sim.Result, string) {
+		var buf bytes.Buffer
+		res := runScenario(&buf, path, "", out)
+		return res, buf.String()
+	}
+	res, report := coldThenWarm(t, run, outputFlags{utilize: true, events: 4})
+	if !strings.Contains(report, scenarioDeciles) {
+		t.Errorf("deciles line missing, want %q in:\n%s", scenarioDeciles, report)
+	}
+	if !strings.Contains(report, scenarioLifecycle) {
+		t.Errorf("lifecycle rows missing, want\n%s\nin:\n%s", scenarioLifecycle, report)
+	}
+	if got := seriesNames(t, res); !reflect.DeepEqual(got, []string{metrics.SeriesGPUsInUse}) {
+		t.Errorf("-util recorded series %v, want only %s", got, metrics.SeriesGPUsInUse)
+	}
+
+	// Without -util or -events no collector is attached and neither
+	// block is printed.
+	resetJournalState()
+	var buf bytes.Buffer
+	if res := runScenario(&buf, path, "", outputFlags{}); res.Metrics != nil {
+		t.Error("a collector was attached without -util, -events or -metrics")
+	}
+	if s := buf.String(); strings.Contains(s, "in-use") || strings.Contains(s, "lifecycle") {
+		t.Errorf("bare run printed collector output:\n%s", s)
+	}
+}
+
+// TestUtilKeepsSpecCollector: a spec whose own collector leaves out
+// gpus_in_use gains that series under -util and keeps its own.
+func TestUtilKeepsSpecCollector(t *testing.T) {
+	src := strings.Replace(flagsTestSpec, `"policy"`,
+		`"metrics": {"enabled": true, "series": ["queue_depth"]}, "policy"`, 1)
+	path := writeSpec(t, src)
+	resetJournalState()
+	defer resetJournalState()
+	var buf bytes.Buffer
+	res := runScenario(&buf, path, "", outputFlags{utilize: true})
+	want := []string{metrics.SeriesGPUsInUse, metrics.SeriesQueueDepth}
+	if got := seriesNames(t, res); !reflect.DeepEqual(got, want) {
+		t.Errorf("series %v, want %v", got, want)
+	}
+	if !strings.Contains(buf.String(), scenarioDeciles) {
+		t.Errorf("deciles line missing:\n%s", buf.String())
+	}
+}
+
+func TestOutputFlagsCollector(t *testing.T) {
+	only := []string{metrics.SeriesGPUsInUse}
+	for _, c := range []struct {
+		name   string
+		out    outputFlags
+		on     bool
+		series []string
+	}{
+		{"none", outputFlags{}, false, nil},
+		{"util", outputFlags{utilize: true}, true, only},
+		{"events", outputFlags{events: 3}, true, only},
+		{"metrics", outputFlags{metricsDir: "out"}, true, nil},
+		{"metrics+util", outputFlags{metricsDir: "out", utilize: true, events: 3}, true, nil},
+	} {
+		on, series := c.out.collector()
+		if on != c.on || !reflect.DeepEqual(series, c.series) {
+			t.Errorf("%s: collector() = %v, %v; want %v, %v", c.name, on, series, c.on, c.series)
+		}
+	}
+}

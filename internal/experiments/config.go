@@ -91,14 +91,16 @@ type RunSpec struct {
 	Seed uint64
 
 	MeasureFirst, MeasureLast int
-	RecordUtil                bool
-	RecordEvents              bool
-	// RecordMetrics attaches a default-configured metrics.Collector
-	// (every series, per-round sampling). The payload rides on
-	// Result.Metrics — including through the result cache — and is
-	// retrievable with metrics.FromResult. Collection is
+	// RecordMetrics attaches a metrics.Collector sampling every round.
+	// The payload rides on Result.Metrics — including through the result
+	// cache — and is retrievable with metrics.FromResult. Collection is
 	// fast-forward-safe, unlike the Observer path.
 	RecordMetrics bool
+	// MetricsSeries selects the collector's series by name
+	// (metrics.Config.Series: nil records every series). Fig. 15 needs
+	// only gpus_in_use, and the other series would cost it memory on
+	// every cached result.
+	MetricsSeries []string
 	// RecordDecisions attaches a default-configured decision.Recorder
 	// (every facet, default ring size). The trace rides on
 	// Result.Decisions — including through the result cache — and is
@@ -203,8 +205,6 @@ func Run(spec RunSpec) (*sim.Result, error) {
 		ModelLacross:        spec.ModelLacross,
 		MeasureFirst:        spec.MeasureFirst,
 		MeasureLast:         spec.MeasureLast,
-		RecordUtilization:   spec.RecordUtil,
-		RecordEvents:        spec.RecordEvents,
 		RoundSec:            spec.RoundSec,
 		MigrationPenaltySec: migration,
 		Counters:            spec.Counters,
@@ -215,6 +215,7 @@ func Run(spec RunSpec) (*sim.Result, error) {
 			schedName = spec.Sched.Name()
 		}
 		cfg.Metrics = metrics.MustCollector(metrics.Config{
+			Series:      spec.MetricsSeries,
 			ClusterGPUs: spec.Topo.Size(),
 			Label:       spec.label(),
 			Policy:      spec.Policy.RegistryName(),

@@ -13,7 +13,7 @@ import (
 // *deliberately* changed the encoding, a generator, or a seed constant:
 // bump the version tag in RunSpec.Key and update the constant below in
 // the same commit.
-const goldenRunSpecKey = "009fbdacd53d0a9ef7452f6b4cd1fbb4ebabf4f22a868b3c1f57cdcc03e11271"
+const goldenRunSpecKey = "09d74ff50f6d8b66b1e0a5fdd2498e38cb38db0468f0e5f5ca85a6a56247b8ad"
 
 func TestGoldenRunSpecKey(t *testing.T) {
 	spec := RunSpec{

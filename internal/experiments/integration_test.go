@@ -239,11 +239,11 @@ func flatLonghorn(t *testing.T) *vprof.Profile {
 func TestIntegrationHigherLoadHigherJCT(t *testing.T) {
 	scale := QuickScale()
 	for _, pol := range []Policy{Tiresias, PALPolicy} {
-		lo, err := runSynergy(scale, 6, pol, "fifo", SynergyLacross, false)
+		lo, err := runSynergy(scale, 6, pol, "fifo", SynergyLacross)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hi, err := runSynergy(scale, 14, pol, "fifo", SynergyLacross, false)
+		hi, err := runSynergy(scale, 14, pol, "fifo", SynergyLacross)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,10 +73,12 @@ func hashTrace(h *runner.Hash, t *trace.Trace) {
 // entries between instrumented and bare runs of the same simulation.
 func (s RunSpec) Key() string {
 	h := runner.NewHash()
-	// v3: RecordDecisions joined the encoding (a trace-carrying result
-	// must never alias a bare one in the cache); v2 added RecordMetrics
-	// for the same reason.
-	h.String("runspec/v3")
+	// v4: the engine's legacy utilization-series and event-log flags left
+	// the encoding and MetricsSeries joined it (a result must never alias
+	// one carrying other series). v3: RecordDecisions joined the encoding
+	// (a trace-carrying result must never alias a bare one in the cache);
+	// v2 added RecordMetrics for the same reason.
+	h.String("runspec/v4")
 
 	hashTrace(h, s.Trace)
 	h.Int(s.Topo.NumNodes)
@@ -111,9 +113,15 @@ func (s RunSpec) Key() string {
 	h.Uint64(s.Seed)
 	h.Int(s.MeasureFirst)
 	h.Int(s.MeasureLast)
-	h.Bool(s.RecordUtil)
-	h.Bool(s.RecordEvents)
 	h.Bool(s.RecordMetrics)
+	if s.MetricsSeries == nil {
+		h.Int(-1) // every series, distinct from an explicit empty list
+	} else {
+		h.Int(len(s.MetricsSeries))
+		for _, name := range s.MetricsSeries {
+			h.String(name)
+		}
+	}
 	h.Bool(s.RecordDecisions)
 	h.Float64(s.RoundSec)
 	h.Float64(s.MigrationPenaltySec)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/runner"
 )
 
@@ -83,7 +84,7 @@ func TestRunSpecKeyDiscriminates(t *testing.T) {
 		"view":    func(s *RunSpec) { s.ProfiledView = TestbedProfile() },
 		"measure": func(s *RunSpec) { s.MeasureFirst = 10 },
 		"round":   func(s *RunSpec) { s.RoundSec = 60 },
-		"util":    func(s *RunSpec) { s.RecordUtil = true },
+		"series":  func(s *RunSpec) { s.MetricsSeries = []string{metrics.SeriesGPUsInUse} },
 		"modelL":  func(s *RunSpec) { s.ModelLacross = map[string]float64{"vgg19": 2.0} },
 	}
 	ref := base().Key()

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -10,7 +11,7 @@ import (
 
 // synergySpec assembles one Synergy simulation of the load/scheduler/
 // penalty grids.
-func synergySpec(scale Scale, load float64, pol Policy, schedName string, lacross float64, recordUtil bool) (RunSpec, error) {
+func synergySpec(scale Scale, load float64, pol Policy, schedName string, lacross float64) (RunSpec, error) {
 	var s sim.Scheduler
 	switch schedName {
 	case "fifo":
@@ -36,15 +37,14 @@ func synergySpec(scale Scale, load float64, pol Policy, schedName string, lacros
 		Seed:         runner.DeriveSeed(ExperimentSeed, fmt.Sprintf("synergy|%s|load%g", schedName, load)),
 		MeasureFirst: scale.SynergyMeasureFirst,
 		MeasureLast:  scale.SynergyMeasureLast,
-		RecordUtil:   recordUtil,
 	}, nil
 }
 
 // runSynergy executes one Synergy simulation through the pool (single-
 // cell convenience used by the integration tests; the figures enumerate
 // whole grids instead).
-func runSynergy(scale Scale, load float64, pol Policy, schedName string, lacross float64, recordUtil bool) (*sim.Result, error) {
-	spec, err := synergySpec(scale, load, pol, schedName, lacross, recordUtil)
+func runSynergy(scale Scale, load float64, pol Policy, schedName string, lacross float64) (*sim.Result, error) {
+	spec, err := synergySpec(scale, load, pol, schedName, lacross)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +71,7 @@ func Fig14(scale Scale) (*Table, error) {
 	specs := make([]RunSpec, 0, len(scale.SynergyLoads)*len(AllPolicies()))
 	for _, load := range scale.SynergyLoads {
 		for _, pol := range AllPolicies() {
-			spec, err := synergySpec(scale, load, pol, "fifo", SynergyLacross, false)
+			spec, err := synergySpec(scale, load, pol, "fifo", SynergyLacross)
 			if err != nil {
 				return nil, fmt.Errorf("fig14 load %g %s: %w", load, pol, err)
 			}
@@ -125,10 +125,14 @@ func Fig15(scale Scale) (*Table, error) {
 	var specs []RunSpec
 	for _, load := range loads {
 		for _, pol := range []Policy{Tiresias, PALPolicy} {
-			spec, err := synergySpec(scale, load, pol, "fifo", SynergyLacross, true)
+			spec, err := synergySpec(scale, load, pol, "fifo", SynergyLacross)
 			if err != nil {
 				return nil, fmt.Errorf("fig15 load %g %s: %w", load, pol, err)
 			}
+			// Only the in-use series: the collector's other series would
+			// ride on every cached result for nothing.
+			spec.RecordMetrics = true
+			spec.MetricsSeries = []string{metrics.SeriesGPUsInUse}
 			specs = append(specs, spec)
 		}
 	}
@@ -142,7 +146,11 @@ func Fig15(scale Scale) (*Table, error) {
 			res := results[i]
 			i++
 			row := []string{fmt.Sprintf("%gj/h", load), pol.String()}
-			row = append(row, decileMeans(res.UtilSeries)...)
+			inUse, ok := metrics.FromResult(res).SeriesByName(metrics.SeriesGPUsInUse)
+			if !ok {
+				return nil, fmt.Errorf("fig15 load %g %s: no %s series", load, pol, metrics.SeriesGPUsInUse)
+			}
+			row = append(row, decileMeans(inUse.Rounds, inUse.Values)...)
 			row = append(row, Hours(res.Makespan))
 			t.AddRow(row...)
 		}
@@ -151,29 +159,29 @@ func Fig15(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// decileMeans averages the in-use series over ten equal time slices.
-func decileMeans(series []sim.UtilSample) []string {
+// decileMeans averages an in-use series (sample round indices and
+// values) over ten equal slices of the sampled rounds.
+func decileMeans(rounds []int64, values []float64) []string {
 	out := make([]string, 10)
-	if len(series) == 0 {
+	if len(rounds) == 0 {
 		for i := range out {
 			out[i] = "-"
 		}
 		return out
 	}
-	lo := series[0].Time
-	hi := series[len(series)-1].Time
-	span := hi - lo
+	lo := rounds[0]
+	span := float64(rounds[len(rounds)-1] - lo)
 	if span <= 0 {
 		span = 1
 	}
 	sums := make([]float64, 10)
 	counts := make([]int, 10)
-	for _, s := range series {
-		d := int((s.Time - lo) / span * 10)
+	for i, r := range rounds {
+		d := int(float64(r-lo) / span * 10)
 		if d > 9 {
 			d = 9
 		}
-		sums[d] += float64(s.InUse)
+		sums[d] += values[i]
 		counts[d]++
 	}
 	for i := range out {
@@ -201,7 +209,7 @@ func Fig16and17(scale Scale) (*Table, error) {
 		specs := make([]RunSpec, 0, len(scale.SchedLoads)*len(AllPolicies()))
 		for _, load := range scale.SchedLoads {
 			for _, pol := range AllPolicies() {
-				spec, err := synergySpec(scale, load, pol, schedName, SynergyLacross, false)
+				spec, err := synergySpec(scale, load, pol, schedName, SynergyLacross)
 				if err != nil {
 					return nil, fmt.Errorf("fig16/17 %s load %g %s: %w", schedName, load, pol, err)
 				}
@@ -250,7 +258,7 @@ func Fig19(scale Scale) (*Table, error) {
 	var specs []RunSpec
 	for _, schedName := range []string{"las", "srtf", "fifo"} {
 		for _, pol := range []Policy{Tiresias, PALPolicy} {
-			spec, err := synergySpec(scale, load, pol, schedName, SynergyLacross, false)
+			spec, err := synergySpec(scale, load, pol, schedName, SynergyLacross)
 			if err != nil {
 				return nil, fmt.Errorf("fig19 %s %s: %w", schedName, pol, err)
 			}
@@ -288,7 +296,7 @@ func Fig20(scale Scale) (*Table, error) {
 	specs := make([]RunSpec, 0, len(scale.SynergyPenalties)*len(AllPolicies()))
 	for _, pen := range scale.SynergyPenalties {
 		for _, pol := range AllPolicies() {
-			spec, err := synergySpec(scale, 10, pol, "fifo", pen, false)
+			spec, err := synergySpec(scale, 10, pol, "fifo", pen)
 			if err != nil {
 				return nil, fmt.Errorf("fig20 penalty %.1f %s: %w", pen, pol, err)
 			}

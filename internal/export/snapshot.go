@@ -24,7 +24,10 @@ import (
 // tests.
 
 // SnapshotFormatVersion names the snapshot-codec revision.
-const SnapshotFormatVersion = "v1"
+// v2 dropped the legacy util_series and events arrays from the
+// snapshot body (the sinks' marshaled state carries the prefix's
+// observations).
+const SnapshotFormatVersion = "v2"
 
 // snapshotFormat is the full format tag embedded in every archive.
 const snapshotFormat = "pal-snapshot/" + SnapshotFormatVersion

@@ -241,12 +241,16 @@ func (c *Collector) ObserveRounds(o sim.RoundObservation) {
 
 // FinishRun implements sim.MetricsSink: it snapshots the series and
 // derives lifecycle records, aggregates and distribution histograms from
-// the completed result. Called exactly once by the engine.
+// the completed result. Called exactly once by the engine. The payload
+// holds copies of the samples, so the rings are released here: a cached
+// result then retains only the payload. Nothing reads the rings after
+// the run (MarshalSnapshotState refuses a finished collector).
 func (c *Collector) FinishRun(res *sim.Result) {
 	if c.finals != nil {
 		panic("metrics: FinishRun called twice on one collector")
 	}
 	c.finals = c.buildPayload(res)
+	c.series = nil
 }
 
 // Payload returns the collected telemetry. It is nil until the run

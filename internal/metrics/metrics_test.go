@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/cluster"
@@ -197,4 +198,97 @@ func (stubPlacer) PlaceRound(c *cluster.Cluster, need []*sim.Job, _ float64) map
 		out[j.Spec.ID] = alloc
 	}
 	return out
+}
+
+// srtfSched orders by remaining work (shortest first), so a short late
+// arrival preempts a long running job.
+type srtfSched struct{}
+
+func (srtfSched) Name() string { return "test-srtf" }
+func (srtfSched) Order(jobs []*sim.Job, _ float64) []*sim.Job {
+	out := append([]*sim.Job(nil), jobs...)
+	sort.SliceStable(out, func(a, b int) bool {
+		if out[a].Remaining != out[b].Remaining {
+			return out[a].Remaining < out[b].Remaining
+		}
+		return out[a].Spec.ID < out[b].Spec.ID
+	})
+	return out
+}
+
+func TestJobRecordsRejectAndPreemptResume(t *testing.T) {
+	// A long 8-GPU job is preempted by a short one, then resumes and
+	// finishes; a 99-GPU job is refused by admission control. The
+	// lifecycle records must carry both stories.
+	tr := &trace.Trace{Name: "t", Jobs: []trace.JobSpec{
+		{ID: 0, Arrival: 0, Demand: 8, Work: 3000},
+		{ID: 1, Arrival: 300, Demand: 8, Work: 300},
+		{ID: 2, Arrival: 400, Demand: 99, Work: 100},
+	}}
+	topo := cluster.Topology{NumNodes: 2, GPUsPerNode: 4}
+	col := MustCollector(Config{ClusterGPUs: topo.Size()})
+	res, err := sim.Run(sim.Config{
+		Topology:    topo,
+		Trace:       tr,
+		Sched:       srtfSched{},
+		Placer:      stubPlacer{},
+		TrueProfile: vprof.GenerateLonghorn(topo.Size(), 1),
+		Metrics:     col,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := FromResult(res)
+	if p == nil || len(p.Jobs) != 3 {
+		t.Fatalf("unexpected payload: %+v", p)
+	}
+	long, short, refused := p.Jobs[0], p.Jobs[1], p.Jobs[2]
+	if res.Jobs[0].Preemptions == 0 || long.Preemptions != res.Jobs[0].Preemptions {
+		t.Errorf("long job preemptions: engine %d, record %d", res.Jobs[0].Preemptions, long.Preemptions)
+	}
+	// Preempted, then resumed to completion after the short job.
+	if !long.Started || !long.Done || long.Rejected || long.Finish <= short.Finish {
+		t.Errorf("long job did not resume to completion: %+v", long)
+	}
+	if !short.Started || !short.Done || short.Preemptions != 0 || short.Rejected {
+		t.Errorf("short job record: %+v", short)
+	}
+	if !refused.Rejected || refused.Started || refused.Preemptions != 0 {
+		t.Errorf("admission-rejected job record: %+v", refused)
+	}
+}
+
+func TestFinishRunReleasesRings(t *testing.T) {
+	// run feeds the same five rounds into a fresh collector, so a
+	// reference payload can be built with the rings still in place.
+	run := func() *Collector {
+		c := MustCollector(Config{ClusterGPUs: 8, Label: "rings"})
+		j := job(1, 2, vprof.ClassA)
+		c.ObserveRounds(obs(0, 3, 1, j))
+		c.ObserveRounds(obs(900, 2, 0, j))
+		return c
+	}
+	c := run()
+	want, _ := c.series[0].Samples()
+	c.FinishRun(&sim.Result{})
+	if c.series != nil {
+		t.Fatal("FinishRun kept the ring storage")
+	}
+	p := FromResult(&sim.Result{Metrics: c})
+	if p == nil || p != c.Payload() {
+		t.Fatal("FromResult lost the payload after the rings were released")
+	}
+	s, ok := p.SeriesByName(SeriesGPUsInUse)
+	if !ok || !reflect.DeepEqual(s.Rounds, want) || len(s.Values) != 5 || s.Values[4] != 2 {
+		t.Fatalf("gpus_in_use after release: %+v", s)
+	}
+	// Releasing the rings changes no payload byte.
+	ref := run()
+	ref.finals = ref.buildPayload(&sim.Result{})
+	if !reflect.DeepEqual(p, ref.finals) {
+		t.Fatal("payload differs from one built without releasing the rings")
+	}
+	if _, err := c.MarshalSnapshotState(); err == nil {
+		t.Fatal("snapshotting a finished collector did not error")
+	}
 }

@@ -74,8 +74,11 @@ func (s SeriesData) Times(p *Payload) []float64 {
 }
 
 // SeriesByName returns the named series, or false when it was not
-// recorded.
+// recorded (or p is nil: a run without a collector).
 func (p *Payload) SeriesByName(name string) (SeriesData, bool) {
+	if p == nil {
+		return SeriesData{}, false
+	}
 	for _, s := range p.Series {
 		if s.Name == name {
 			return s, true

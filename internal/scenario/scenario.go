@@ -175,8 +175,6 @@ type EngineSpec struct {
 	MigrationPenaltySec float64 `json:"migration_penalty_sec,omitempty"`
 	MeasureFirst        int     `json:"measure_first,omitempty"`
 	MeasureLast         int     `json:"measure_last,omitempty"`
-	RecordUtilization   bool    `json:"record_utilization,omitempty"`
-	RecordEvents        bool    `json:"record_events,omitempty"`
 }
 
 // MetricsSpec attaches the telemetry collector (internal/metrics) to the
