@@ -164,14 +164,14 @@ func TestPMFirstLeavesClusterFree(t *testing.T) {
 	}
 }
 
-func TestSortByPlacementPriorityStable(t *testing.T) {
+func TestPlacementPriorityStable(t *testing.T) {
 	jobs := []*sim.Job{
 		mkJob(0, 1, vprof.ClassB),
 		mkJob(1, 1, vprof.ClassA),
 		mkJob(2, 1, vprof.ClassB),
 		mkJob(3, 1, vprof.ClassA),
 	}
-	got := SortByPlacementPriority(jobs)
+	got := appendByPlacementPriority(nil, jobs)
 	wantIDs := []int{1, 3, 0, 2}
 	for i, j := range got {
 		if j.Spec.ID != wantIDs[i] {
@@ -472,5 +472,23 @@ func TestPALMinimizesLVProductProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDeterministicCapability pins when PAL and PM-First may settle (see
+// sim.DeterministicPlacer): only with hysteresis on and a static scorer.
+func TestDeterministicCapability(t *testing.T) {
+	binned := vprof.BinProfile(vprof.GenerateLonghorn(16, 1))
+	pal, pmf := NewPAL(binned, 1.5, nil), NewPMFirst(binned)
+	if !pal.Deterministic() || !pmf.Deterministic() {
+		t.Error("PAL/PM-First over a static profile must be deterministic")
+	}
+	pal.NoHysteresis, pmf.NoHysteresis = true, true
+	if pal.Deterministic() || pmf.Deterministic() {
+		t.Error("without hysteresis the picks depend on the order")
+	}
+	online := NewOnlineScorer(binned)
+	if NewPAL(online, 1.5, nil).Deterministic() || NewPMFirst(online).Deterministic() {
+		t.Error("a learning scorer must void the capability")
 	}
 }

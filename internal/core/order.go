@@ -95,6 +95,12 @@ type versionedScorer interface {
 	Version() uint64
 }
 
+// isVersioned reports whether the scorer's scores may change at run time.
+func isVersioned(s vprof.Scorer) bool {
+	_, ok := s.(versionedScorer)
+	return ok
+}
+
 // orderCache owns a scoreOrder plus the staleness bookkeeping shared by
 // PM-First and PAL.
 type orderCache struct {
@@ -117,11 +123,15 @@ func (oc *orderCache) get(scorer vprof.Scorer, numClasses, n, gpusPerNode int) *
 	return oc.order
 }
 
+// The take* walks below write their pick over dst's backing array (dst
+// may be nil), so a policy can evaluate candidates in reused scratch and
+// copy only the allocation it hands out.
+
 // takeBest returns the first demand free GPUs in class order, i.e. the
 // free GPUs with the lowest PM scores (Algorithm 1's selection). The
 // result is nil if fewer than demand GPUs are free.
-func (o *scoreOrder) takeBest(c cluster.View, class vprof.Class, demand int) []cluster.GPUID {
-	out := make([]cluster.GPUID, 0, demand)
+func (o *scoreOrder) takeBest(dst []cluster.GPUID, c cluster.View, class vprof.Class, demand int) []cluster.GPUID {
+	out := dst[:0]
 	for _, g := range o.byClass[class] {
 		if !c.IsFree(g) {
 			continue
@@ -136,8 +146,8 @@ func (o *scoreOrder) takeBest(c cluster.View, class vprof.Class, demand int) []c
 
 // takeBestUnder is takeBest restricted to GPUs with score <= v. The class
 // order is ascending by score, so the walk stops at the first GPU over v.
-func (o *scoreOrder) takeBestUnder(c cluster.View, class vprof.Class, demand int, v float64) []cluster.GPUID {
-	out := make([]cluster.GPUID, 0, demand)
+func (o *scoreOrder) takeBestUnder(dst []cluster.GPUID, c cluster.View, class vprof.Class, demand int, v float64) []cluster.GPUID {
+	out := dst[:0]
 	for _, g := range o.byClass[class] {
 		if o.scorer.Score(class, int(g)) > v {
 			break
@@ -156,8 +166,8 @@ func (o *scoreOrder) takeBestUnder(c cluster.View, class vprof.Class, demand int
 // takeNodeUnder returns the demand lowest-score free GPUs on the node
 // with score <= v, or nil if the node cannot supply them. The second
 // return is the allocation's max score.
-func (o *scoreOrder) takeNodeUnder(c cluster.View, class vprof.Class, node, demand int, v float64) ([]cluster.GPUID, float64) {
-	out := make([]cluster.GPUID, 0, demand)
+func (o *scoreOrder) takeNodeUnder(dst []cluster.GPUID, c cluster.View, class vprof.Class, node, demand int, v float64) ([]cluster.GPUID, float64) {
+	out := dst[:0]
 	maxV := 0.0
 	for _, g := range o.nodeByClass[class][node] {
 		s := o.scorer.Score(class, int(g))

@@ -30,7 +30,11 @@ type PAL struct {
 	modelMat map[string][]*LVMatrix
 	cache    orderCache
 	order    *scoreOrder
-	pmf      *PMFirst
+	hyst     hysteresis
+	// Fresh-pick scratch: pick for whole-cluster walks, node for
+	// packedUnder's candidate and best-so-far (indices alternate).
+	pick []cluster.GPUID
+	node [2][]cluster.GPUID
 
 	// NoHysteresis disables previous-allocation reuse (ablation).
 	NoHysteresis bool
@@ -49,7 +53,6 @@ func NewPAL(scorer vprof.BinnedScorer, lacross float64, modelLacross map[string]
 		modelL:   modelLacross,
 		matrices: make([]*LVMatrix, scorer.NumClasses()),
 		modelMat: make(map[string][]*LVMatrix),
-		pmf:      NewPMFirst(scorer),
 	}
 	return p
 }
@@ -79,6 +82,11 @@ func (p *PAL) Name() string { return "pal" }
 
 // Sticky implements sim.Placer: PAL is non-sticky (§IV-A1).
 func (p *PAL) Sticky() bool { return false }
+
+// Deterministic implements sim.DeterministicPlacer: with hysteresis on
+// and a static scorer, a placement that kept every job in place repeats
+// for the same job set.
+func (p *PAL) Deterministic() bool { return !p.NoHysteresis && !isVersioned(p.scorer) }
 
 // levels returns the locality-penalty column of the L×V matrix for the
 // given across-node penalty: two levels in the paper's model, three when
@@ -132,9 +140,14 @@ func (p *PAL) matrixFor(j *sim.Job) *LVMatrix {
 // PlaceRound implements sim.Placer.
 func (p *PAL) PlaceRound(c *cluster.Cluster, need []*sim.Job, now float64) map[int][]cluster.GPUID {
 	p.order = p.cache.get(p.scorer, p.scorer.NumClasses(), c.Size(), c.GPUsPerNode())
-	p.pmf.order = p.order // share the precomputed orders
+	if cap(p.pick) < c.Size() {
+		// Every pick fits, so the walks below never grow the scratch.
+		p.pick = make([]cluster.GPUID, 0, c.Size())
+		p.node[0] = make([]cluster.GPUID, 0, c.GPUsPerNode())
+		p.node[1] = make([]cluster.GPUID, 0, c.GPUsPerNode())
+	}
 	opts := placeOpts{noHysteresis: p.NoHysteresis}
-	return placeWithHysteresis(c, need, opts,
+	return p.hyst.placeWithHysteresis(c, need, opts,
 		func(j *sim.Job) []cluster.GPUID { return p.placeJob(c, j) },
 		func(j *sim.Job, gpus []cluster.GPUID) float64 { return p.lvProduct(c, j, gpus) })
 }
@@ -160,7 +173,8 @@ func (p *PAL) lvProduct(c cluster.View, j *sim.Job, gpus []cluster.GPUID) float6
 }
 
 // placeJob implements Algorithm 2 for one job against the cluster's
-// current free state.
+// current free state. The result is PAL-owned scratch, valid until the
+// next call.
 func (p *PAL) placeJob(c cluster.View, j *sim.Job) []cluster.GPUID {
 	d := j.Spec.Demand
 	rackCap := 0
@@ -176,7 +190,7 @@ func (p *PAL) placeJob(c cluster.View, j *sim.Job) []cluster.GPUID {
 		// the deepest locality scope must spread regardless, so
 		// variability is all that is left to optimize (Algorithm 2
 		// lines 23-25).
-		alloc := p.order.takeBest(c, j.Spec.Class, d)
+		alloc := p.order.takeBest(p.pick, c, j.Spec.Class, d)
 		if alloc == nil {
 			panic("core: PAL/PM-First path out of free GPUs")
 		}
@@ -201,7 +215,7 @@ func (p *PAL) placeJob(c cluster.View, j *sim.Job) []cluster.GPUID {
 			// (L_across, V_i): locality cost is acceptable at this point
 			// in the traversal; make a PM-First pick over the filtered
 			// free list.
-			alloc = p.order.takeBestUnder(c, class, d, e.V)
+			alloc = p.order.takeBestUnder(p.pick, c, class, d, e.V)
 		default:
 			// (L_rack, V_i): rack-level extension — the best allocation
 			// confined to a single rack.
@@ -253,19 +267,21 @@ func (p *PAL) packedUnder(c cluster.View, class vprof.Class, d int, v float64) [
 	var best []cluster.GPUID
 	bestMax := 0.0
 	bestTie := uint64(0)
+	cand := 0 // p.node[cand] takes the next candidate; best holds the other
 	for n := 0; n < c.NumNodes(); n++ {
 		// The occupancy index rules out undersupplied nodes in O(1),
 		// before the per-GPU score walk.
 		if c.FreeOnNode(cluster.NodeID(n)) < d {
 			continue
 		}
-		alloc, maxV := p.order.takeNodeUnder(c, class, n, d, v)
+		alloc, maxV := p.order.takeNodeUnder(p.node[cand], c, class, n, d, v)
 		if alloc == nil {
 			continue
 		}
 		tie := mix64(uint64(n))
 		if best == nil || maxV < bestMax || (maxV == bestMax && tie < bestTie) {
 			best = alloc
+			cand ^= 1
 			bestMax = maxV
 			bestTie = tie
 		}
@@ -273,4 +289,4 @@ func (p *PAL) packedUnder(c cluster.View, class vprof.Class, d int, v float64) [
 	return best
 }
 
-var _ sim.Placer = (*PAL)(nil)
+var _ sim.DeterministicPlacer = (*PAL)(nil)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -20,6 +19,8 @@ type PMFirst struct {
 	scorer vprof.Scorer
 	cache  orderCache // precomputed score orders, rebuilt if scores drift
 	order  *scoreOrder
+	hyst   hysteresis
+	pick   []cluster.GPUID // fresh-pick scratch
 
 	// NoClassPriority disables the class-based reordering of the
 	// schedulable prefix (ablation: placement priority off). Set before
@@ -43,6 +44,11 @@ func (p *PMFirst) Name() string { return "pm-first" }
 // Sticky implements sim.Placer: PM-First is non-sticky (§IV-A1).
 func (p *PMFirst) Sticky() bool { return false }
 
+// Deterministic implements sim.DeterministicPlacer: with hysteresis on
+// and a static scorer, a placement that kept every job in place repeats
+// for the same job set (with or without class priority).
+func (p *PMFirst) Deterministic() bool { return !p.NoHysteresis && !isVersioned(p.scorer) }
+
 // ensureOrder refreshes the precomputed score orders (rebuilding when a
 // dynamic scorer's version moves).
 func (p *PMFirst) ensureOrder(c cluster.View) {
@@ -53,13 +59,14 @@ func (p *PMFirst) ensureOrder(c cluster.View) {
 func (p *PMFirst) PlaceRound(c *cluster.Cluster, need []*sim.Job, _ float64) map[int][]cluster.GPUID {
 	p.ensureOrder(c)
 	opts := placeOpts{noClassPriority: p.NoClassPriority, noHysteresis: p.NoHysteresis}
-	return placeWithHysteresis(c, need, opts,
+	return p.hyst.placeWithHysteresis(c, need, opts,
 		func(j *sim.Job) []cluster.GPUID {
-			alloc := p.order.takeBest(c, j.Spec.Class, j.Spec.Demand)
+			alloc := p.order.takeBest(p.pick, c, j.Spec.Class, j.Spec.Demand)
 			if alloc == nil {
 				panic(fmt.Sprintf("core: PM-First cannot place job %d (demand %d, free %d)",
 					j.Spec.ID, j.Spec.Demand, c.NumFree()))
 			}
+			p.pick = alloc
 			return alloc
 		},
 		func(j *sim.Job, gpus []cluster.GPUID) float64 {
@@ -67,18 +74,4 @@ func (p *PMFirst) PlaceRound(c *cluster.Cluster, need []*sim.Job, _ float64) map
 		})
 }
 
-// SortByPlacementPriority stably sorts jobs by class (class A = 0 first).
-// The input order is the scheduling order, so within a class the
-// scheduling policy's priorities are preserved; across classes the
-// placement priority of §III-B applies. The caller already truncated the
-// queue at cluster size, so every job here is guaranteed to be scheduled
-// this round — reordering cannot starve anyone.
-func SortByPlacementPriority(need []*sim.Job) []*sim.Job {
-	out := append([]*sim.Job(nil), need...)
-	sort.SliceStable(out, func(a, b int) bool {
-		return out[a].Spec.Class < out[b].Spec.Class
-	})
-	return out
-}
-
-var _ sim.Placer = (*PMFirst)(nil)
+var _ sim.DeterministicPlacer = (*PMFirst)(nil)

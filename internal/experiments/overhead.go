@@ -14,11 +14,14 @@ import (
 // Python toolkit; our Go implementation is orders of magnitude faster, so
 // the reproduced shape is "grows with cluster size, worst case at the
 // first epoch, far below the 300 s epoch" rather than the absolute values.
+// The sample is one entry per PlaceRound call that ran: the engine skips
+// epochs whose placement provably repeats (see sim.DeterministicPlacer),
+// so the placements column counts calls, not epochs.
 func Fig18(scale Scale) (*Table, error) {
 	t := &Table{
 		Name:   "fig18",
 		Title:  "PAL placement compute time per epoch (milliseconds)",
-		Header: []string{"cluster size", "median", "p99", "max", "epochs"},
+		Header: []string{"cluster size", "median", "p99", "max", "placements"},
 	}
 	sizes := []int{64, 128, 256}
 	// The runs go through the pool like every other experiment, which
@@ -67,5 +70,6 @@ func Fig18(scale Scale) (*Table, error) {
 			fmt.Sprintf("%d", len(ms)))
 	}
 	t.Note("paper (Python/Blox): 256-GPU worst case 4 s, median 2.8 s, vs a 300 s epoch; shape check: time grows with cluster size and stays negligible vs the epoch")
+	t.Note("placements counts the PlaceRound calls timed: the engine skips epochs whose placement provably repeats (every job kept its GPUs and nothing finished since)")
 	return t, nil
 }

@@ -41,9 +41,10 @@ type Counters struct {
 	DenseSpans   int64 `json:"dense_spans,omitempty"`
 
 	// Incremental-ordering outcomes (TotalOrderScheduler fast path):
-	// rebuilds re-sorted from scratch after a membership change,
-	// revalidations verified the cached order in O(n), re-sorts
-	// repaired it in place after priorities crossed. OrderFullCalls
+	// rebuilds followed a membership change, the first round included
+	// (finished jobs dropped, arrivals merged in by insertion);
+	// revalidations verified an unchanged-membership order in O(n);
+	// re-sorts repaired any order in place after an inversion. OrderFullCalls
 	// counts reference-path Scheduler.Order invocations (naive loop or
 	// a scheduler without the capability interface).
 	OrderRebuilds    int64 `json:"order_rebuilds,omitempty"`

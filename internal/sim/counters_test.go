@@ -65,11 +65,11 @@ func TestCountersDoNotPerturbSimulation(t *testing.T) {
 				}
 
 				// Byte-identity: wall-clock PlaceTimes and the sink pointers
-				// are the only legitimately differing fields.
-				if len(bare.PlaceTimes) != len(res.PlaceTimes) {
-					t.Errorf("PlaceTimes count: bare %d, instrumented %d",
-						len(bare.PlaceTimes), len(res.PlaceTimes))
-				}
+				// are the only legitimately differing fields. The decision
+				// sink keeps placement from settling, so on the fast path
+				// the bare run may place less often.
+				checkPlaceCounts(t, c.settles() && !disableFF, "instrumented", "bare", res, bare)
+				checkPlaceCalls(t, res, ctr)
 				bare.PlaceTimes, res.PlaceTimes = nil, nil
 				res.Metrics, res.Decisions = nil, nil
 				if !reflect.DeepEqual(bare, res) {

@@ -10,13 +10,15 @@ package sim_test
 // and Synergy queues under FIFO and LAS, and a preemption-heavy
 // synthetic workload whose LAS priorities churn the partition
 // constantly (the regression regime for the demotion-during-advance
-// ceiling bug).
+// ceiling bug) — under the sticky baselines and under PAL and PM-First,
+// whose settled placements the incremental engine skips.
 
 import (
 	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/place"
 	"repro/internal/sched"
@@ -39,6 +41,7 @@ func denseCases(t *testing.T) []ffCase {
 	}
 	synParams := trace.DefaultSynergyParams(12) // saturating on 32 GPUs
 	synParams.NumJobs = 250
+	binned32 := vprof.BinProfile(vprof.GenerateLonghorn(32, 0x9A1))
 	return []ffCase{
 		{
 			name:   "dense-sia5/las/packed-sticky",
@@ -80,6 +83,38 @@ func denseCases(t *testing.T) []ffCase {
 			sched:  sched.LAS{Threshold: 1800},
 			placer: func() sim.Placer { return place.NewPacked(true, 21) },
 		},
+		// PAL and PM-First on the same dense and preemption-heavy
+		// traces: settled placement must survive standing queues, LAS
+		// demotions and SRTF reorders, and every preemption or
+		// completion must hand placement back to the policy.
+		{
+			name:   "dense-synergy/las/pal",
+			trace:  trace.Synergy(synParams),
+			nodes:  8,
+			sched:  sched.LAS{},
+			placer: func() sim.Placer { return core.NewPAL(binned32, 1.5, nil) },
+		},
+		{
+			name:   "dense-sia5/srtf/pm-first",
+			trace:  trace.SiaPhilly(trace.DefaultSiaPhillyParams(), 5),
+			nodes:  8,
+			sched:  sched.SRTF{},
+			placer: func() sim.Placer { return core.NewPMFirst(binned32) },
+		},
+		{
+			name:   "preempt-heavy/las-lowthresh/pal",
+			trace:  burstyPreempt,
+			nodes:  8,
+			sched:  sched.LAS{Threshold: 1800},
+			placer: func() sim.Placer { return core.NewPAL(binned32, 1.5, nil) },
+		},
+		{
+			name:   "preempt-heavy/srtf/pm-first",
+			trace:  burstyPreempt,
+			nodes:  8,
+			sched:  sched.SRTF{},
+			placer: func() sim.Placer { return core.NewPMFirst(binned32) },
+		},
 	}
 }
 
@@ -106,10 +141,8 @@ func TestDenseIncrementalByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				suiteCtr.Add(fastCfg.Counters)
-				if len(naive.PlaceTimes) != len(fast.PlaceTimes) {
-					t.Errorf("PlaceTimes count: naive %d, incremental %d",
-						len(naive.PlaceTimes), len(fast.PlaceTimes))
-				}
+				checkPlaceCounts(t, c.settles(), "naive", "incremental", naive, fast)
+				checkPlaceCalls(t, fast, fastCfg.Counters)
 				if withMetrics {
 					np, fp := metrics.FromResult(naive), metrics.FromResult(fast)
 					if np == nil || fp == nil {

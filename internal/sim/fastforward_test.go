@@ -6,7 +6,9 @@ package sim_test
 // same per-job tables (JCT, waits, attained service, preemption and
 // migration counts), same aggregate metrics, bit for bit. The only
 // field excluded is PlaceTimes' values, which are wall-clock
-// measurements; their count must still match. The per-round
+// measurements; their count must match for sticky and RNG placers, and
+// may only shrink for PAL and PM-First, whose settled placements the
+// fast path skips (see checkPlaceCounts). The per-round
 // observation stream (GPUs in use, queue depth, lifecycle records) is
 // compared over the same matrix, with a metrics sink attached, by
 // TestMetricsFastForwardByteIdentical.
@@ -77,15 +79,77 @@ func ffCases(t *testing.T) []ffCase {
 			placer: func() sim.Placer { return place.NewPacked(true, 7) },
 		},
 		{
-			// PAL is non-sticky, so fast-forward must decline and the naive
-			// path must be taken in both runs — results identical trivially,
-			// but this pins the eligibility gate.
+			// PAL and PM-First are non-sticky but deterministic: the fast
+			// path skips placement and bulk advances only once a placement
+			// round kept every allocation (settled placement), under every
+			// scheduler, with the migration penalty charged on the rounds
+			// that do migrate.
 			name:   "sia1/fifo/pal",
 			trace:  trace.SiaPhilly(siaParams, 1),
 			nodes:  16,
 			sched:  sched.FIFO{},
 			placer: func() sim.Placer { return core.NewPAL(binned64, 1.5, nil) },
 		},
+		{
+			name:   "sia1/las/pal",
+			trace:  trace.SiaPhilly(siaParams, 1),
+			nodes:  16,
+			sched:  sched.LAS{},
+			placer: func() sim.Placer { return core.NewPAL(binned64, 1.5, nil) },
+		},
+		{
+			name:   "sia3/srtf/pal",
+			trace:  trace.SiaPhilly(siaParams, 3),
+			nodes:  16,
+			sched:  sched.SRTF{},
+			placer: func() sim.Placer { return core.NewPAL(binned64, 1.5, nil) },
+		},
+		{
+			name:   "sia5/las/pm-first",
+			trace:  trace.SiaPhilly(siaParams, 5),
+			nodes:  16,
+			sched:  sched.LAS{},
+			placer: func() sim.Placer { return core.NewPMFirst(binned64) },
+		},
+		{
+			name:   "synergy-sparse/srtf/pm-first",
+			trace:  trace.Synergy(synParams),
+			nodes:  16,
+			sched:  sched.SRTF{},
+			placer: func() sim.Placer { return core.NewPMFirst(binned64) },
+		},
+	}
+}
+
+// settles reports whether the case's placer may settle (see
+// sim.DeterministicPlacer), so its placement rounds depend on the
+// stepping regime.
+func (c ffCase) settles() bool {
+	dp, ok := c.placer().(sim.DeterministicPlacer)
+	return ok && dp.Deterministic()
+}
+
+// checkPlaceCounts compares the PlaceTimes counts of a run that cannot
+// skip a settled placement (ref: the naive loop, or a decision sink
+// attached) and one that may (got). Sticky and RNG placers place in the
+// same rounds under every regime, so the counts match exactly. When got
+// can settle, its count depends on the stepping regime by design and may
+// only be smaller.
+func checkPlaceCounts(t *testing.T, canSettle bool, refLabel, gotLabel string, ref, got *sim.Result) {
+	t.Helper()
+	n, m := len(ref.PlaceTimes), len(got.PlaceTimes)
+	if canSettle && m > n || !canSettle && m != n {
+		t.Errorf("PlaceTimes count: %s %d, %s %d", refLabel, n, gotLabel, m)
+	}
+}
+
+// checkPlaceCalls pins PlaceTimes to one entry per PlaceRound call the
+// run's counters saw.
+func checkPlaceCalls(t *testing.T, res *sim.Result, ctr *sim.Counters) {
+	t.Helper()
+	if int64(len(res.PlaceTimes)) != ctr.PlaceCalls {
+		t.Errorf("PlaceTimes count %d, counters saw %d PlaceRound calls",
+			len(res.PlaceTimes), ctr.PlaceCalls)
 	}
 }
 
@@ -113,14 +177,14 @@ func TestFastForwardByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, err := sim.Run(c.config(t, false))
+			fastCfg := c.config(t, false)
+			fastCfg.Counters = &sim.Counters{}
+			fast, err := sim.Run(fastCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(naive.PlaceTimes) != len(fast.PlaceTimes) {
-				t.Errorf("PlaceTimes count: naive %d, fast-forward %d",
-					len(naive.PlaceTimes), len(fast.PlaceTimes))
-			}
+			checkPlaceCounts(t, c.settles(), "naive", "fast-forward", naive, fast)
+			checkPlaceCalls(t, fast, fastCfg.Counters)
 			// Wall-clock values are the one legitimately nondeterministic
 			// field; blank them before the exact comparison.
 			naive.PlaceTimes, fast.PlaceTimes = nil, nil
@@ -175,5 +239,71 @@ func TestFastForwardActuallyEngages(t *testing.T) {
 	}
 	if res.Rounds < 1000 {
 		t.Errorf("rounds = %d, want >= 1000 (progress rounds must still be counted)", res.Rounds)
+	}
+}
+
+// TestSettledPlacementActuallyEngages guards the settled-placement fast
+// path for the paper's own policies: PAL and PM-First are non-sticky, so
+// the engine may skip their placement and bulk advance only after a
+// placement round that kept every allocation. If that gate never opened,
+// the byte-identity suites would pass vacuously; if it opened where the
+// fixpoint argument does not hold, they would be the only guard. This
+// pins both sides.
+func TestSettledPlacementActuallyEngages(t *testing.T) {
+	cases := map[string]ffCase{}
+	for _, c := range ffCases(t) {
+		cases[c.name] = c
+	}
+	run := func(t *testing.T, cfg sim.Config) *sim.Counters {
+		t.Helper()
+		cfg.Counters = &sim.Counters{}
+		res, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPlaceCalls(t, res, cfg.Counters)
+		return cfg.Counters
+	}
+
+	for _, name := range []string{"sia1/fifo/pal", "sia5/las/pm-first"} {
+		t.Run(name, func(t *testing.T) {
+			ctr := run(t, cases[name].config(t, false))
+			if ctr.PlacementsSkipped == 0 || ctr.BulkRounds() == 0 {
+				t.Errorf("settled placement never engaged: %s", ctr.Summary())
+			}
+		})
+	}
+
+	binned := vprof.BinProfile(vprof.GenerateLonghorn(64, 0x9A1))
+	never := map[string]func() sim.Config{
+		// Plain non-sticky picks depend on the processing order.
+		"pm-first/no-hysteresis": func() sim.Config {
+			cfg := cases["sia5/las/pm-first"].config(t, false)
+			p := core.NewPMFirst(binned)
+			p.NoHysteresis = true
+			cfg.Placer = p
+			return cfg
+		},
+		// The online scorer learns between rounds, through the Observer.
+		"pal/online-scorer+observer": func() sim.Config {
+			cfg := cases["sia1/fifo/pal"].config(t, false)
+			online := core.NewOnlineScorer(binned)
+			cfg.Placer = core.NewPAL(online, 1.5, nil)
+			cfg.Observer = online
+			return cfg
+		},
+		// The naive loop records every round's placements.
+		"pal/decision-sink": func() sim.Config {
+			cfg := cases["sia1/fifo/pal"].config(t, false)
+			cfg.Decisions = recorderFor(t, "pal")
+			return cfg
+		},
+	}
+	for name, mk := range never {
+		t.Run(name, func(t *testing.T) {
+			if ctr := run(t, mk()); ctr.PlacementsSkipped != 0 {
+				t.Errorf("placement skipped %d times; want 0 (%s)", ctr.PlacementsSkipped, ctr.Summary())
+			}
+		})
 	}
 }

@@ -111,9 +111,14 @@ type Scheduler interface {
 // slice is engine-owned scratch, valid only for the duration of the
 // call — copy it if the policy retains state across rounds.
 //
+// The returned map may be placer-owned scratch reused by the next call:
+// the engine reads it before calling PlaceRound again and keeps only the
+// allocation slices.
+//
 // Sticky reports the placement flavor (§IV-A1): sticky placers keep a
 // running job's allocation until it completes or is preempted; non-sticky
-// placers re-place every running job every round.
+// placers re-place every running job every round, except that a
+// DeterministicPlacer is skipped once its placement has settled.
 type Placer interface {
 	Name() string
 	Sticky() bool
@@ -354,8 +359,11 @@ type Result struct {
 	ProductiveUtilization float64
 	Rounds                int
 
-	// PlaceTimes holds the wall-clock duration of each round's placement
-	// call in seconds (only rounds that placed at least one job).
+	// PlaceTimes holds the wall-clock duration of each Placer.PlaceRound
+	// call in seconds: only rounds that entered placement with at least
+	// one job to place, so rounds the engine proved a no-op (sticky or
+	// settled placement) have no entry and the count depends on the
+	// stepping regime.
 	PlaceTimes []float64
 
 	// Metrics echoes Config.Metrics after the run, so a Result pulled
@@ -423,8 +431,11 @@ func (r *Result) MultiGPUJCTs() []float64 {
 // is exactly the naive loop's, in the same order, so results are
 // byte-identical (fastforward_test.go enforces this). Non-sticky
 // placers re-place every running job every round by definition — that
-// per-round re-roll is the behaviour §V-B measures — so they always
-// take the naive path, as does any run with an Observer attached.
+// per-round re-roll is the behaviour §V-B measures — so they take the
+// materialized path, except a DeterministicPlacer whose last placement
+// moved nothing: re-placing the same running set provably repeats it,
+// so the engine treats it as sticky until the next change. Any run with
+// an Observer attached takes the naive path.
 func Run(cfg Config) (*Result, error) {
 	eng, err := newEngine(cfg)
 	if err != nil {
@@ -460,7 +471,10 @@ func newEngine(cfg Config) (*engine, error) {
 	for i, spec := range cfg.Trace.Jobs {
 		jobs[i] = &Job{Spec: spec, Remaining: spec.Work}
 	}
-	return &engine{cfg: cfg, cluster: c, jobs: jobs, ctr: cfg.Counters}, nil
+	dp, ok := cfg.Placer.(DeterministicPlacer)
+	canSettle := ok && dp.Deterministic() && cfg.Observer == nil &&
+		cfg.Decisions == nil && !cfg.DisableFastForward
+	return &engine{cfg: cfg, cluster: c, jobs: jobs, ctr: cfg.Counters, canSettle: canSettle}, nil
 }
 
 // engine holds the per-run mutable state.
@@ -483,6 +497,16 @@ type engine struct {
 	// gained or lost jobs since it was built, forcing a full re-sort.
 	ordered           []*Job
 	membershipChanged bool
+
+	// Settled placement (see DeterministicPlacer): canSettle is fixed at
+	// construction; settled is set by a place() call that started,
+	// resumed and migrated nothing, and cleared by any completion or any
+	// place() that changes an allocation. While set, the placement skip
+	// and bulk advance treat the non-sticky placer as sticky. It is not
+	// part of a Snapshot: a resumed engine starts unsettled and pays one
+	// extra placement round that provably repeats.
+	canSettle bool
+	settled   bool
 
 	placeTimes []float64
 
@@ -762,42 +786,41 @@ func (e *engine) run() (*Result, error) {
 // calls Scheduler.Order every round. The incremental path — taken when
 // fast-forwarding is enabled and the scheduler exposes its strict total
 // order (TotalOrderScheduler) — maintains one reused buffer across
-// rounds: on a membership change it is rebuilt from the active set and
-// sorted from scratch; otherwise the cached order is re-validated in
-// O(n) and re-sorted in place only when priorities actually crossed.
+// rounds: a membership change drops the finished jobs from it and
+// appends the arrivals; then the order is re-validated in O(n) and, where
+// priorities crossed or arrivals landed, repaired by insertion from the
+// first inversion (a round moves few jobs, so this beats a full re-sort).
 // Because the order is total (Less never reports two distinct jobs
-// equal), the unstable generic sort is deterministic and the maintained
-// sequence is exactly what a fresh Order call would return — the
-// byte-identity suites compare it against the reference path.
+// equal), the repaired sequence is the unique Less-sorted one, exactly
+// what a fresh Order call would return — the byte-identity suites compare
+// it against the reference path.
 func (e *engine) orderActive(now float64) ([]*Job, error) {
 	cfg := e.cfg
 	if !cfg.DisableFastForward {
 		if ts, ok := cfg.Sched.(TotalOrderScheduler); ok {
-			cmp := func(a, b *Job) int {
-				if ts.Less(a, b, now) {
-					return -1
+			ord := e.ordered
+			if e.membershipChanged || ord == nil {
+				// Finished jobs leave the cached order; arrivals, which
+				// admission appended to the active list's tail, join at the
+				// order's tail (on the first round, or after a resume, that
+				// is every active job). The repair below sorts them in.
+				kept := ord[:0]
+				for _, j := range ord {
+					if !j.Done {
+						kept = append(kept, j)
+					}
 				}
-				if ts.Less(b, a, now) {
-					return 1
-				}
-				return 0
-			}
-			if e.membershipChanged || e.ordered == nil {
-				e.ordered = append(e.ordered[:0], e.active...)
-				e.membershipChanged = false
-				slices.SortFunc(e.ordered, cmp)
+				ord = append(kept, e.active[len(kept):]...)
+				e.ordered, e.membershipChanged = ord, false
 				if e.ctr != nil {
 					e.ctr.OrderRebuilds++
 				}
-				return e.ordered, nil
-			}
-			ord := e.ordered
-			if e.ctr != nil {
+			} else if e.ctr != nil {
 				e.ctr.OrderRevalidated++
 			}
 			for i := 1; i < len(ord); i++ {
 				if ts.Less(ord[i], ord[i-1], now) {
-					slices.SortFunc(ord, cmp)
+					insertionRepair(ts, ord, i, now)
 					if e.ctr != nil {
 						e.ctr.OrderResorts++
 					}
@@ -820,15 +843,41 @@ func (e *engine) orderActive(now float64) ([]*Job, error) {
 	return ordered, nil
 }
 
+// insertionRepair restores Less order to ord, whose prefix ord[:from] is
+// already sorted: each later job that orders before its predecessor is
+// moved to its place, found by binary search over the sorted prefix.
+func insertionRepair(ts TotalOrderScheduler, ord []*Job, from int, now float64) {
+	for k := from; k < len(ord); k++ {
+		x := ord[k]
+		if !ts.Less(x, ord[k-1], now) {
+			continue
+		}
+		lo, hi := 0, k-1 // x belongs before ord[k-1]: search ord[:k-1]
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if ts.Less(x, ord[m], now) {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		copy(ord[lo+1:k+1], ord[lo:k])
+		ord[lo] = x
+	}
+}
+
 // placementClean reports whether the placement phase is provably a no-op
-// this round: sticky placer, every prefix job already holding GPUs, and
-// nobody outside the prefix holding any (no preemption due). The check
-// is the dirty-set gate — O(n) with no allocation — and mirrors exactly
-// the conditions under which place() would fall through without touching
-// the cluster, so skipping it cannot be observed. The reference loop
-// always re-enters place().
+// this round: sticky or settled placer, every prefix job already holding
+// GPUs, and nobody outside the prefix holding any (no preemption due).
+// The check is the dirty-set gate — O(n) with no allocation. For a
+// sticky placer it mirrors exactly the conditions under which place()
+// would fall through without touching the cluster; for a settled
+// deterministic placer, the running set equals the one its last
+// placement kept in place, so place() would return the same allocations.
+// Either way skipping it cannot be observed. The reference loop always
+// re-enters place().
 func (e *engine) placementClean(prefix []*Job) bool {
-	if e.cfg.DisableFastForward || !e.cfg.Placer.Sticky() {
+	if e.cfg.DisableFastForward || !e.placementStable() {
 		return false
 	}
 	for _, j := range prefix {
@@ -843,6 +892,13 @@ func (e *engine) placementClean(prefix []*Job) bool {
 		}
 	}
 	return nRunning == len(prefix)
+}
+
+// placementStable reports whether re-placing an unchanged running set
+// would provably keep every allocation: the placer is sticky, or it is a
+// deterministic placer whose last placement settled.
+func (e *engine) placementStable() bool {
+	return e.settled || e.cfg.Placer.Sticky()
 }
 
 // allActiveRunning reports whether every active job currently holds GPUs
@@ -884,12 +940,14 @@ func (e *engine) allActiveRunning() bool {
 // leave them. The whole span reaches the
 // metrics sink as one observation (every per-round quantity is frozen
 // for its duration). Non-sticky placers re-place — and may re-roll
-// their RNG — every round, which is observable behaviour, so they never
-// bulk advance; nor do runs with an Observer attached (its contract is
-// one callback per job per round).
+// their RNG — every round, which is observable behaviour, so they bulk
+// advance only once settled (a deterministic placer's last placement
+// kept every allocation, so the same running set places the same way);
+// runs with an Observer attached never do (its contract is one callback
+// per job per round).
 func (e *engine) bulkAdvance(now float64, rounds int) (float64, int) {
 	cfg := e.cfg
-	if cfg.DisableFastForward || cfg.Observer != nil || !cfg.Placer.Sticky() || len(e.active) == 0 {
+	if cfg.DisableFastForward || cfg.Observer != nil || !e.placementStable() || len(e.active) == 0 {
 		return now, rounds
 	}
 	// Arrival horizon first: if the next arrival is already due, the
@@ -1024,8 +1082,10 @@ func schedulablePrefix(ordered []*Job, clusterSize int) []*Job {
 // the placement policy for jobs needing GPUs. Prefix membership and
 // was-running state ride on per-job scratch marks rather than per-round
 // maps, so the phase allocates nothing in steady state; both marks are
-// false again by the time place returns.
+// false again by the time place returns. A call that starts, resumes and
+// migrates nothing leaves a deterministic placer settled.
 func (e *engine) place(prefix []*Job, now float64) error {
+	e.settled = false
 	for _, j := range prefix {
 		j.inPrefix = true
 	}
@@ -1067,6 +1127,7 @@ func (e *engine) place(prefix []*Job, now float64) error {
 	}
 	e.needBuf = need[:0]
 	if len(need) == 0 {
+		e.settled = e.canSettle
 		return nil
 	}
 
@@ -1078,6 +1139,7 @@ func (e *engine) place(prefix []*Job, now float64) error {
 		e.ctr.JobsPlaced += int64(len(need))
 	}
 
+	changed := false
 	for _, j := range need {
 		alloc, ok := allocs[j.Spec.ID]
 		if !ok || len(alloc) != j.Spec.Demand {
@@ -1122,6 +1184,7 @@ func (e *engine) place(prefix []*Job, now float64) error {
 			j.Started = true
 			j.FirstRun = now
 		}
+		changed = changed || migrated || !wasRunning
 		if e.cfg.Decisions != nil {
 			l, maxV := e.slowdownParts(j)
 			e.decPlace = append(e.decPlace, PlacementDecision{
@@ -1138,6 +1201,7 @@ func (e *engine) place(prefix []*Job, now float64) error {
 			})
 		}
 	}
+	e.settled = e.canSettle && !changed
 	return nil
 }
 
@@ -1244,6 +1308,8 @@ func (e *engine) advance(prefix []*Job, now float64) int {
 		j.Attained += wallRun * float64(j.Spec.Demand)
 	}
 	if finished > 0 {
+		// Freed GPUs may now beat a settled placement.
+		e.settled = false
 		// Compact the active list.
 		kept := e.active[:0]
 		for _, j := range e.active {

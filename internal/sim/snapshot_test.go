@@ -23,8 +23,10 @@ import (
 
 // snapshotCases selects the matrix the issue names: Sia, dense Synergy,
 // a preemption-heavy bursty LAS workload — plus an rng-bearing Random
-// placer (stream-position round-trip) and PAL (stateless policy,
-// naive-only regime).
+// placer (stream-position round-trip) and PAL, whose settled placement
+// is engine state outside the snapshot: a resumed engine starts
+// unsettled and must re-derive it, on a sparse and a preemption-heavy
+// trace.
 func snapshotCases(t *testing.T) []ffCase {
 	t.Helper()
 	want := map[string]bool{
@@ -33,6 +35,7 @@ func snapshotCases(t *testing.T) []ffCase {
 		"sia1/fifo/pal":                             true,
 		"dense-synergy/las/packed-sticky":           true,
 		"preempt-heavy/las-lowthresh/packed-sticky": true,
+		"preempt-heavy/las-lowthresh/pal":           true,
 	}
 	var out []ffCase
 	for _, c := range append(ffCases(t), denseCases(t)...) {

@@ -1,6 +1,7 @@
 package sim
 
-// Scheduler capability interfaces for the incremental engine core.
+// Scheduler and placer capability interfaces for the incremental engine
+// core.
 //
 // The engine's round loop runs in four stepping regimes (documented in
 // docs/ARCHITECTURE.md "Engine stepping"): the naive reference loop, the
@@ -13,7 +14,8 @@ package sim
 // running/waiting partition stays put. Schedulers opt in by implementing
 // the interfaces below; a scheduler that implements neither simply keeps
 // the pre-incremental behavior (full re-sort every round, dense bulk
-// advance only when nothing is waiting).
+// advance only when nothing is waiting). Non-sticky placers opt into the
+// placement skip and bulk advance through DeterministicPlacer.
 
 // TotalOrderScheduler is implemented by schedulers whose Order is the
 // unique sequence induced by a strict total order over jobs. The
@@ -58,4 +60,27 @@ type TotalOrderScheduler interface {
 type PartitionStableScheduler interface {
 	Scheduler
 	AttainedCeilings(running, waiting []*Job, ceilings []float64)
+}
+
+// DeterministicPlacer is implemented by non-sticky placers with two
+// properties. PlaceRound is a pure function of the need sequence, each
+// job's PrevAlloc and the cluster's free state: no RNG and no state that
+// evolves across rounds. And a call that leaves every job on its
+// previous GPUs is a fixpoint: the same need *set*, in any order, with
+// the same previous allocations, returns the same allocations again.
+// Deterministic reports whether both hold for this instance (an ablation
+// switch or a run-time-learning scorer may void them).
+//
+// The engine uses it to treat a non-sticky placer as sticky once
+// placement has settled: after a place() call in which no job started,
+// resumed or migrated, it skips the placement phase and bulk advances
+// while the running set is unchanged, until a completion or a later
+// place() that changes an allocation. The settled state is taken only
+// with fast-forwarding on, without an Observer (whose scorer may learn
+// between rounds) and without a decision sink (the naive loop records
+// every round's placements); TestSettledPlacementActuallyEngages pins
+// both the engagement and these exclusions.
+type DeterministicPlacer interface {
+	Placer
+	Deterministic() bool
 }
