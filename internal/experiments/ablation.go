@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -49,7 +50,7 @@ func runSiaWithPlacer(scale Scale, build func() sim.Placer) (float64, error) {
 			TrueProfile:         profile,
 			Lacross:             1.5,
 			ModelLacross:        trace.LacrossByModel(),
-			MigrationPenaltySec: DefaultMigrationPenaltySec,
+			MigrationPenaltySec: sim.DefaultMigrationPenaltySec,
 		}
 	})
 	if err != nil {
@@ -89,7 +90,7 @@ func AblationK(scale Scale) (*Table, error) {
 	}
 	variants = append(variants,
 		variant{"silhouette-selected", func() sim.Placer {
-			return core.NewPMFirst(binned(profile))
+			return core.NewPMFirst(scenario.Binned(profile))
 		}},
 		variant{"exact scores", func() sim.Placer {
 			return core.NewPMFirst(profile)
@@ -116,13 +117,13 @@ func AblationPriority(scale Scale) (*Table, error) {
 		Header: []string{"variant", "avg JCT (h)"},
 	}
 	withJCT, err := runSiaWithPlacer(scale, func() sim.Placer {
-		return core.NewPMFirst(binned(profile))
+		return core.NewPMFirst(scenario.Binned(profile))
 	})
 	if err != nil {
 		return nil, err
 	}
 	withoutJCT, err := runSiaWithPlacer(scale, func() sim.Placer {
-		p := core.NewPMFirst(binned(profile))
+		p := core.NewPMFirst(scenario.Binned(profile))
 		p.NoClassPriority = true
 		return p
 	})
@@ -147,7 +148,7 @@ func AblationHysteresis(scale Scale) (*Table, error) {
 	}
 	run := func(disable bool) (float64, float64, error) {
 		results, err := runSiaAblation(scale, "ablation_hysteresis", func(idx int) sim.Config {
-			p := core.NewPAL(binned(profile), 1.5, trace.LacrossByModel())
+			p := core.NewPAL(scenario.Binned(profile), 1.5, trace.LacrossByModel())
 			p.NoHysteresis = disable
 			return sim.Config{
 				Topology:            SiaTopology(),
@@ -157,7 +158,7 @@ func AblationHysteresis(scale Scale) (*Table, error) {
 				TrueProfile:         profile,
 				Lacross:             1.5,
 				ModelLacross:        trace.LacrossByModel(),
-				MigrationPenaltySec: DefaultMigrationPenaltySec,
+				MigrationPenaltySec: sim.DefaultMigrationPenaltySec,
 			}
 		})
 		if err != nil {
@@ -199,7 +200,7 @@ func AblationOnline(scale Scale) (*Table, error) {
 		Title:  "Online PM-score re-profiling vs static stale profile (testbed cluster mode)",
 		Header: []string{"variant", "avg JCT (h)"},
 	}
-	base := binned(view)
+	base := scenario.Binned(view)
 
 	// Both variants go through the pool (uncached: the online scorer is
 	// mutable per-run state) so cancellation reaches them; each task
@@ -212,7 +213,7 @@ func AblationOnline(scale Scale) (*Table, error) {
 			TrueProfile:         truth,
 			Lacross:             1.5,
 			ModelLacross:        trace.LacrossByModel(),
-			MigrationPenaltySec: DefaultMigrationPenaltySec,
+			MigrationPenaltySec: sim.DefaultMigrationPenaltySec,
 		}
 	}
 	sweep := runner.NewSweep(Pool())
@@ -261,7 +262,7 @@ func AblationRack(scale Scale) (*Table, error) {
 	}
 	run := func(rack bool) (float64, error) {
 		results, err := runSiaAblation(scale, "ablation_rack", func(idx int) sim.Config {
-			p := core.NewPAL(binned(profile), lacross, nil)
+			p := core.NewPAL(scenario.Binned(profile), lacross, nil)
 			if rack {
 				p.EnableRackLevel(lrack)
 			}
@@ -273,7 +274,7 @@ func AblationRack(scale Scale) (*Table, error) {
 				TrueProfile:         profile,
 				Lacross:             lacross,
 				Lrack:               lrack,
-				MigrationPenaltySec: DefaultMigrationPenaltySec,
+				MigrationPenaltySec: sim.DefaultMigrationPenaltySec,
 			}
 		})
 		if err != nil {

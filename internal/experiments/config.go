@@ -8,9 +8,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/decision"
 	"repro/internal/metrics"
-	"repro/internal/place"
-	"repro/internal/rng"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -53,19 +52,6 @@ func (p Policy) String() string {
 		return "PAL"
 	}
 	return fmt.Sprintf("Policy(%d)", int(p))
-}
-
-// binMemo memoizes the K-Means binning per profile: silhouette K
-// selection is O(n²) per class and every policy run over the same profile
-// would otherwise repeat it. The single-flight Memo (unlike the old
-// sync.Map) also guarantees concurrent runs over one profile bin it
-// exactly once.
-var binMemo runner.Memo[*vprof.Profile, *vprof.Binned]
-
-// binned returns the (cached) binned view of a profile. The returned
-// Binned is shared and read-only.
-func binned(p *vprof.Profile) *vprof.Binned {
-	return binMemo.Get(p, func() *vprof.Binned { return vprof.BinProfile(p) })
 }
 
 // RunSpec assembles one simulation of the evaluation.
@@ -111,7 +97,7 @@ type RunSpec struct {
 
 	// MigrationPenaltySec overrides the default checkpoint/restore cost
 	// charged when a running job's allocation changes; negative disables
-	// it. Zero selects DefaultMigrationPenaltySec.
+	// it. Zero selects sim.DefaultMigrationPenaltySec.
 	MigrationPenaltySec float64
 
 	// Counters, when non-nil, receives the engine's introspection
@@ -122,12 +108,6 @@ type RunSpec struct {
 	// a bare one.
 	Counters *sim.Counters
 }
-
-// DefaultMigrationPenaltySec is the checkpoint/restore cost charged per
-// migration (§IV-A1: small relative to job runtimes — 10 s against
-// multi-hour jobs, ~3% of a round worst case — but enough that gratuitous non-sticky reshuffling is
-// not free).
-const DefaultMigrationPenaltySec = 10
 
 // RegistryName returns the policy's name in the placement registry
 // (internal/place), the vocabulary scenario specs and CLI flags use.
@@ -166,72 +146,48 @@ func policySeed(p Policy, seed uint64) uint64 {
 	return seed
 }
 
-// buildPlacer constructs the placement policy of the spec through the
-// shared placement registry, so the experiments layer exercises exactly
-// the construction path scenario specs use.
-func buildPlacer(spec RunSpec) sim.Placer {
+// Run executes one simulation, lowered into a sim.Config by the same
+// function scenario specs go through (scenario.Lower). The placer
+// consults ProfiledView (Profile when nil) and draws from the
+// policySeed-derived stream.
+func Run(spec RunSpec) (*sim.Result, error) {
 	view := spec.ProfiledView
 	if view == nil {
 		view = spec.Profile
 	}
-	placer, err := place.Build(spec.Policy.RegistryName(), place.BuildEnv{
-		Scores:       binned(view),
-		Lacross:      spec.Lacross,
-		ModelLacross: spec.ModelLacross,
-		Seed:         policySeed(spec.Policy, spec.Seed),
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+	policy := spec.Policy.RegistryName()
+	schedName := ""
+	if spec.Sched != nil {
+		schedName = spec.Sched.Name()
 	}
-	return placer
-}
-
-// Run executes one simulation.
-func Run(spec RunSpec) (*sim.Result, error) {
-	migration := spec.MigrationPenaltySec
-	switch {
-	case migration == 0:
-		migration = DefaultMigrationPenaltySec
-	case migration < 0:
-		migration = 0
+	var mc *metrics.Config
+	if spec.RecordMetrics {
+		mc = &metrics.Config{
+			Series: spec.MetricsSeries,
+			Label:  spec.label(),
+			Policy: policy,
+			Sched:  schedName,
+		}
 	}
-	cfg := sim.Config{
+	var dc *decision.Config
+	if spec.RecordDecisions {
+		dc = &decision.Config{Label: spec.label(), Policy: policy, Sched: schedName}
+	}
+	cfg, err := scenario.Lower(sim.Config{
 		Topology:            spec.Topo,
 		Trace:               spec.Trace,
 		Sched:               spec.Sched,
-		Placer:              buildPlacer(spec),
 		TrueProfile:         spec.Profile,
 		Lacross:             spec.Lacross,
 		ModelLacross:        spec.ModelLacross,
 		MeasureFirst:        spec.MeasureFirst,
 		MeasureLast:         spec.MeasureLast,
 		RoundSec:            spec.RoundSec,
-		MigrationPenaltySec: migration,
+		MigrationPenaltySec: spec.MigrationPenaltySec,
 		Counters:            spec.Counters,
-	}
-	if spec.RecordMetrics {
-		schedName := ""
-		if spec.Sched != nil {
-			schedName = spec.Sched.Name()
-		}
-		cfg.Metrics = metrics.MustCollector(metrics.Config{
-			Series:      spec.MetricsSeries,
-			ClusterGPUs: spec.Topo.Size(),
-			Label:       spec.label(),
-			Policy:      spec.Policy.RegistryName(),
-			Sched:       schedName,
-		})
-	}
-	if spec.RecordDecisions {
-		schedName := ""
-		if spec.Sched != nil {
-			schedName = spec.Sched.Name()
-		}
-		cfg.Decisions = decision.MustRecorder(decision.Config{
-			Label:  spec.label(),
-			Policy: spec.Policy.RegistryName(),
-			Sched:  schedName,
-		})
+	}, policy, policySeed(spec.Policy, spec.Seed), view, mc, dc)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	return sim.Run(cfg)
 }
@@ -394,9 +350,8 @@ const (
 	// SynergyLacross is the constant penalty of the Synergy experiments
 	// (the paper's initial Frontera estimate, §IV-D).
 	SynergyLacross = 1.7
-	// ProfileSeed seeds profile generation; ExperimentSeed seeds
-	// everything else.
-	ProfileSeed    = 0x9A1
+	// ExperimentSeed seeds everything but profile generation
+	// (scenario.ProfileSeed).
 	ExperimentSeed = 0xE4B
 )
 
@@ -410,31 +365,19 @@ func SynergyTopology() cluster.Topology {
 	return cluster.Topology{NumNodes: SynergyClusterNodes, GPUsPerNode: GPUsPerNode}
 }
 
-// profileMemo memoizes the sampled per-cluster-size profiles (the key
-// space is bounded: one entry per generator × cluster size).
-var profileMemo runner.Memo[string, *vprof.Profile]
-
 // LonghornProfile returns a Longhorn-style profile for an n-GPU simulated
-// cluster, produced the way §IV-C describes: generate the full cluster's
-// profile, then sample n GPUs without repetition.
+// cluster, sampled from the full generated cluster as §IV-C describes.
 func LonghornProfile(n int) *vprof.Profile {
-	key := fmt.Sprintf("longhorn-%d", n)
-	return profileMemo.Get(key, func() *vprof.Profile {
-		full := vprof.GenerateLonghorn(416, ProfileSeed) // 8 cabinets × 13 nodes × 4 GPUs
-		perm := rng.New(ProfileSeed).Split(uint64(n)).Perm(full.NumGPUs())
-		p, err := full.Subsample(key, perm, n)
-		if err != nil {
-			panic(err)
-		}
-		return p
-	})
+	p, err := scenario.SampledProfile(fmt.Sprintf("longhorn-%d", n), "longhorn", n, scenario.ProfileSeed)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // TestbedProfile returns the 64-GPU Frontera testbed profile (Fig. 8).
 func TestbedProfile() *vprof.Profile {
-	return profileMemo.Get("testbed-64", func() *vprof.Profile {
-		return vprof.GenerateTestbed(ProfileSeed + 7)
-	})
+	return scenario.TestbedProfile(scenario.TestbedSeed)
 }
 
 // SiaTrace returns Sia-Philly workload idx at default parameters.

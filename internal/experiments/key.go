@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/runner"
-	"repro/internal/trace"
+	"repro/internal/scenario"
 	"repro/internal/vprof"
 )
 
@@ -24,43 +24,17 @@ import (
 // shared, immutable after construction, and hashed once each.
 var profileDigests runner.Memo[*vprof.Profile, string]
 
-// profileDigest hashes a profile's full content (name, shape, every
-// score).
+// profileDigest hashes a profile's full content (scenario.HashProfile)
+// into a digest string.
 func profileDigest(p *vprof.Profile) string {
 	if p == nil {
 		return "nil"
 	}
 	return profileDigests.Get(p, func() string {
 		h := runner.NewHash()
-		h.String(p.Name())
-		h.Int(p.NumClasses())
-		h.Int(p.NumGPUs())
-		for c := 0; c < p.NumClasses(); c++ {
-			h.Floats(p.ClassScores(vprof.Class(c)))
-		}
+		scenario.HashProfile(h, p)
 		return h.Sum()
 	})
-}
-
-// hashTrace feeds a trace's full content into the hasher. Traces are
-// regenerated per call site, so the digest is computed from content, not
-// pointer identity — equal workloads hash equal wherever they were
-// built.
-func hashTrace(h *runner.Hash, t *trace.Trace) {
-	if t == nil {
-		h.String("nil-trace")
-		return
-	}
-	h.String(t.Name)
-	h.Int(len(t.Jobs))
-	for _, j := range t.Jobs {
-		h.Int(j.ID)
-		h.String(j.Model)
-		h.Int(int(j.Class))
-		h.Float64(j.Arrival)
-		h.Int(j.Demand)
-		h.Float64(j.Work)
-	}
 }
 
 // Key returns the canonical content hash of the spec. Every field of
@@ -80,7 +54,15 @@ func (s RunSpec) Key() string {
 	// v2 added RecordMetrics for the same reason.
 	h.String("runspec/v4")
 
-	hashTrace(h, s.Trace)
+	// Traces are regenerated per call site, so they hash by content,
+	// not pointer identity: equal workloads hash equal wherever they
+	// were built.
+	if s.Trace == nil {
+		h.String("nil-trace")
+	} else {
+		h.String(s.Trace.Name)
+		scenario.HashJobs(h, s.Trace.Jobs)
+	}
 	h.Int(s.Topo.NumNodes)
 	h.Int(s.Topo.GPUsPerNode)
 	h.Int(s.Topo.NodesPerRack)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/classifier"
 	"repro/internal/kmeans"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/vprof"
 )
@@ -77,9 +78,9 @@ func Fig06to08(Scale) (*Table, error) {
 		vprof.ClassC: "PageRank",
 	}
 	profiles := []*vprof.Profile{
-		vprof.GenerateFrontera(360, ProfileSeed+1), // Fig. 6: 360 Quadro RTX 5000 GPUs
-		vprof.GenerateLonghorn(416, ProfileSeed),   // Fig. 7
-		TestbedProfile(),                           // Fig. 8: 64-GPU testbed subset
+		vprof.GenerateFrontera(360, scenario.ProfileSeed+1), // Fig. 6: 360 Quadro RTX 5000 GPUs
+		vprof.GenerateLonghorn(416, scenario.ProfileSeed),   // Fig. 7
+		TestbedProfile(), // Fig. 8: 64-GPU testbed subset
 	}
 	for _, p := range profiles {
 		for c := vprof.Class(0); int(c) < p.NumClasses(); c++ {

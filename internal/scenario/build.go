@@ -13,30 +13,12 @@ import (
 	_ "repro/internal/core"
 	"repro/internal/decision"
 	"repro/internal/metrics"
-	"repro/internal/place"
-	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vprof"
 )
-
-// defaultProfileSeed matches the experiments layer's ProfileSeed, so a
-// scenario over a longhorn profile of the same size experiences the
-// exact per-GPU scores the paper-figure runners use.
-// defaultTestbedSeed matches experiments.TestbedProfile's shifted seed
-// (ProfileSeed + 7), so the "testbed" source reproduces the Fig. 8
-// profile exactly.
-const (
-	defaultProfileSeed = 0x9A1
-	defaultTestbedSeed = defaultProfileSeed + 7
-)
-
-// fullClusterGPUs is the size of the full generated cluster that
-// longhorn/frontera scenario profiles are sampled from (8 cabinets × 13
-// nodes × 4 GPUs, the paper's Longhorn shape).
-const fullClusterGPUs = 416
 
 // Built is a scenario resolved to concrete simulation inputs. Trace and
 // Profile are immutable and safely shared; Config constructs fresh
@@ -129,51 +111,22 @@ func (s *Spec) buildTrace() (*trace.Trace, error) {
 	return nil, fmt.Errorf("scenario %s: unknown workload source %q", s.Name, w.Source)
 }
 
-// profileMemo caches generated profiles per (source, gpus, seed):
-// generation plus subsampling is cheap, but scenarios fanned out over a
-// pool build repeatedly and profiles are immutable.
-var profileMemo runner.Memo[string, *vprof.Profile]
-
 // buildProfile materializes the variability profile, sized to cover the
 // cluster.
 func (s *Spec) buildProfile(gpus int) (*vprof.Profile, error) {
 	p := s.Profile
 	switch p.Source {
 	case "longhorn", "frontera":
-		if gpus > fullClusterGPUs {
-			return nil, fmt.Errorf("scenario %s: %s profiles cover at most %d GPUs, cluster has %d",
-				s.Name, p.Source, fullClusterGPUs, gpus)
-		}
-		key := fmt.Sprintf("%s-%d-%d", p.Source, gpus, p.Seed)
-		var err error
-		prof := profileMemo.Get(key, func() *vprof.Profile {
-			// The paper's methodology (§IV-C): profile the full cluster,
-			// then sample the simulated cluster's GPUs without repetition.
-			var full *vprof.Profile
-			if p.Source == "longhorn" {
-				full = vprof.GenerateLonghorn(fullClusterGPUs, p.Seed)
-			} else {
-				full = vprof.GenerateFrontera(fullClusterGPUs, p.Seed)
-			}
-			perm := rng.New(p.Seed).Split(uint64(gpus)).Perm(full.NumGPUs())
-			sub, serr := full.Subsample(key, perm, gpus)
-			if serr != nil {
-				err = serr
-				return nil
-			}
-			return sub
-		})
+		prof, err := SampledProfile(fmt.Sprintf("%s-%d-%d", p.Source, gpus, p.Seed), p.Source, gpus, p.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 		return prof, nil
 	case "testbed":
-		if gpus > 64 {
-			return nil, fmt.Errorf("scenario %s: the testbed profile covers 64 GPUs, cluster has %d", s.Name, gpus)
+		if gpus > testbedGPUs {
+			return nil, fmt.Errorf("scenario %s: the testbed profile covers %d GPUs, cluster has %d", s.Name, testbedGPUs, gpus)
 		}
-		return profileMemo.Get(fmt.Sprintf("testbed-%d", p.Seed), func() *vprof.Profile {
-			return vprof.GenerateTestbed(p.Seed)
-		}), nil
+		return TestbedProfile(p.Seed), nil
 	case "file":
 		f, err := os.Open(p.Path)
 		if err != nil {
@@ -189,25 +142,23 @@ func (s *Spec) buildProfile(gpus int) (*vprof.Profile, error) {
 	return nil, fmt.Errorf("scenario %s: unknown profile source %q", s.Name, p.Source)
 }
 
-// binMemo caches the silhouette K-Means binning per profile, mirroring
-// the experiments layer: binning is O(n²) per class and profiles are
-// shared immutable values.
-var binMemo runner.Memo[*vprof.Profile, *vprof.Binned]
-
 // Config assembles a sim.Config for the built scenario. Each call
-// constructs fresh scheduler, placer and admission instances — placers
-// hold RNG state, so sharing one across runs would couple them.
+// constructs fresh scheduler, placer, admission and sink instances —
+// they hold per-run state, so sharing one across runs would couple
+// them.
 func (b *Built) Config() (sim.Config, error) {
 	s := b.Spec
-	schedPolicy, err := sched.Build(s.Sched.Name, s.Sched.Params)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	var modelLacross map[string]float64
-	if s.Locality.PerModel {
-		modelLacross = trace.LacrossByModel()
-	}
-	placer, err := b.buildPlacer(s.Policy.Name)
+	return b.config(s.Policy.Name, s.Sched.Name, s.Sched.Params)
+}
+
+// config lowers the built scenario under the named placement and
+// scheduling policies. The placer's RNG stream derives from the spec
+// seed and the policy name, so the spec's own policy and a fork's
+// warmup policy each get the stream they would have gotten as the
+// spec's policy. Sinks always carry the cell's own labels.
+func (b *Built) config(policy, schedName string, schedParams map[string]float64) (sim.Config, error) {
+	s := b.Spec
+	schedPolicy, err := sched.Build(schedName, schedParams)
 	if err != nil {
 		return sim.Config{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
@@ -215,54 +166,36 @@ func (b *Built) Config() (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	migration := s.Engine.MigrationPenaltySec
-	switch {
-	case migration == 0:
-		migration = defaultMigrationPenaltySec
-	case migration < 0:
-		migration = 0
+	var modelLacross map[string]float64
+	if s.Locality.PerModel {
+		modelLacross = trace.LacrossByModel()
 	}
-	var sink sim.MetricsSink
+	var mc *metrics.Config
 	if s.Metrics.Enabled {
-		// A fresh collector per Config call, like the policy instances:
-		// collectors hold per-run state, so sharing one across runs would
-		// interleave their observations.
-		collector, err := metrics.NewCollector(metrics.Config{
+		mc = &metrics.Config{
 			IntervalRounds: s.Metrics.IntervalRounds,
 			MaxSamples:     s.Metrics.MaxSamples,
 			HistBins:       s.Metrics.HistBins,
 			Series:         s.Metrics.Series,
-			ClusterGPUs:    b.Topo.Size(),
 			Label:          s.Name,
 			Policy:         s.Policy.Name,
 			Sched:          s.Sched.Name,
-		})
-		if err != nil {
-			return sim.Config{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
-		sink = collector
 	}
-	var decSink sim.DecisionSink
+	var dc *decision.Config
 	if s.Decisions.Enabled {
-		// Fresh recorder per Config call, for the same reason as the
-		// collector: recorders hold per-run ring-buffer state.
-		rec, err := decision.NewRecorder(decision.Config{
+		dc = &decision.Config{
 			Label:      s.Name,
 			Policy:     s.Policy.Name,
 			Sched:      s.Sched.Name,
 			MaxRecords: s.Decisions.MaxRecords,
 			Facets:     s.Decisions.Record,
-		})
-		if err != nil {
-			return sim.Config{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
-		decSink = rec
 	}
-	return sim.Config{
+	cfg, err := Lower(sim.Config{
 		Topology:            b.Topo,
 		Trace:               b.Trace,
 		Sched:               schedPolicy,
-		Placer:              placer,
 		Admit:               admit,
 		TrueProfile:         b.Profile,
 		Lacross:             s.Locality.Lacross,
@@ -272,35 +205,13 @@ func (b *Built) Config() (sim.Config, error) {
 		MaxRounds:           s.Engine.MaxRounds,
 		MeasureFirst:        s.Engine.MeasureFirst,
 		MeasureLast:         s.Engine.MeasureLast,
-		MigrationPenaltySec: migration,
-		Metrics:             sink,
-		Decisions:           decSink,
+		MigrationPenaltySec: s.Engine.MigrationPenaltySec,
 		Counters:            b.Counters,
-	}, nil
-}
-
-// defaultMigrationPenaltySec mirrors the experiments layer's default
-// checkpoint/restore cost.
-const defaultMigrationPenaltySec = 10
-
-// buildPlacer constructs a placement policy by registry name against
-// the built scenario's profile and locality model, with the placer's
-// RNG stream derived from the spec seed and the policy name — so the
-// spec's own policy and a fork's warmup policy each get the stream they
-// would have gotten as the spec's policy.
-func (b *Built) buildPlacer(name string) (sim.Placer, error) {
-	s := b.Spec
-	var modelLacross map[string]float64
-	if s.Locality.PerModel {
-		modelLacross = trace.LacrossByModel()
+	}, policy, runner.DeriveSeed(s.Seed, "scenario/placer/"+policy), b.Profile, mc, dc)
+	if err != nil {
+		return sim.Config{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	return place.Build(name, place.BuildEnv{
-		Scores:       binMemo.Get(b.Profile, func() *vprof.Binned { return vprof.BinProfile(b.Profile) }),
-		Lacross:      s.Locality.Lacross,
-		ModelLacross: modelLacross,
-		Lrack:        s.Locality.Lrack,
-		Seed:         runner.DeriveSeed(s.Seed, "scenario/placer/"+name),
-	})
+	return cfg, nil
 }
 
 // Run builds a config and executes the simulation once. A fork-bearing
@@ -385,32 +296,7 @@ func (b *Built) Key() string {
 	}
 	h.String(string(canon))
 	h.String(b.Trace.Name)
-	hashJobs(h, b.Trace.Jobs)
-	hashProfile(h, b.Profile)
+	HashJobs(h, b.Trace.Jobs)
+	HashProfile(h, b.Profile)
 	return h.Sum()
-}
-
-// hashJobs folds job specs into a cache key (count plus every field
-// that reaches the simulation).
-func hashJobs(h *runner.Hash, jobs []trace.JobSpec) {
-	h.Int(len(jobs))
-	for _, j := range jobs {
-		h.Int(j.ID)
-		h.String(j.Model)
-		h.Int(int(j.Class))
-		h.Float64(j.Arrival)
-		h.Int(j.Demand)
-		h.Float64(j.Work)
-	}
-}
-
-// hashProfile folds the materialized variability profile's content into
-// a cache key.
-func hashProfile(h *runner.Hash, p *vprof.Profile) {
-	h.String(p.Name())
-	h.Int(p.NumClasses())
-	h.Int(p.NumGPUs())
-	for c := 0; c < p.NumClasses(); c++ {
-		h.Floats(p.ClassScores(vprof.Class(c)))
-	}
 }

@@ -22,10 +22,7 @@ package scenario
 //     and cells differing only in workload suffix share a snapshot.
 
 import (
-	"fmt"
-
 	"repro/internal/runner"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -54,30 +51,15 @@ func (s *Spec) warmupNames() (policy, schd string) {
 // run yields a correctly-labeled payload, and a captured sink state
 // restores into the identically-configured resumed sink.
 func (b *Built) WarmupConfig() (sim.Config, error) {
-	cfg, err := b.Config()
-	if err != nil {
-		return sim.Config{}, err
-	}
 	s := b.Spec
-	f := s.Fork
-	if f == nil {
-		return cfg, nil
+	policy, schd := s.warmupNames()
+	params := s.Sched.Params
+	if schd != s.Sched.Name {
+		// A switched warmup sched is built with default params; the
+		// spec's params belong to the post-fork sched only.
+		params = nil
 	}
-	if f.Policy != "" && f.Policy != s.Policy.Name {
-		placer, err := b.buildPlacer(f.Policy)
-		if err != nil {
-			return sim.Config{}, fmt.Errorf("scenario %s: fork warmup: %w", s.Name, err)
-		}
-		cfg.Placer = placer
-	}
-	if f.Sched != "" && f.Sched != s.Sched.Name {
-		schd, err := sched.Build(f.Sched, nil)
-		if err != nil {
-			return sim.Config{}, fmt.Errorf("scenario %s: fork warmup: %w", s.Name, err)
-		}
-		cfg.Sched = schd
-	}
-	return cfg, nil
+	return b.config(policy, schd, params)
 }
 
 // CaptureSnapshot simulates the warmup prefix and captures the engine
@@ -163,13 +145,13 @@ func (b *Built) PrefixKey() string {
 	h.Int(f.Rounds)
 	cutoff, n := b.prefixCutoff()
 	h.Float64(cutoff)
-	hashJobs(h, b.Trace.Jobs[:n])
+	HashJobs(h, b.Trace.Jobs[:n])
 	more := 0
 	if n < len(b.Trace.Jobs) {
 		more = 1
 	}
 	h.Int(more)
-	hashProfile(h, b.Profile)
+	HashProfile(h, b.Profile)
 	return h.Sum()
 }
 
@@ -182,7 +164,7 @@ func (b *Built) PrefixKey() string {
 func (b *Built) prefixCutoff() (float64, int) {
 	roundSec := b.Spec.Engine.RoundSec
 	if roundSec <= 0 {
-		roundSec = 300 // sim.Config's documented default round length
+		roundSec = sim.DefaultRoundSec
 	}
 	jobs := b.Trace.Jobs
 	cutoff := 0.0

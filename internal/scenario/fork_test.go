@@ -1,4 +1,4 @@
-package scenario
+package scenario_test
 
 import (
 	"bytes"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/export"
+	"repro/internal/scenario"
 )
 
 // forkBaseSpec is a small but non-trivial configuration: enough jobs
@@ -23,9 +24,9 @@ const forkBaseSpec = `{
 
 // buildSpec parses and builds a spec from JSON, with optional mutation
 // between parse and build.
-func buildSpec(t *testing.T, src string, mutate func(*Spec)) *Built {
+func buildSpec(t *testing.T, src string, mutate func(*scenario.Spec)) *scenario.Built {
 	t.Helper()
-	s, err := Parse([]byte(src))
+	s, err := scenario.Parse([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func buildSpec(t *testing.T, src string, mutate func(*Spec)) *Built {
 
 // resultBytes archives a result through the versioned codec with the
 // wall-clock field neutralized — the byte-identity comparison form.
-func resultBytes(t *testing.T, b *Built) []byte {
+func resultBytes(t *testing.T, b *scenario.Built) []byte {
 	t.Helper()
 	res, err := b.Run()
 	if err != nil {
@@ -66,8 +67,8 @@ func TestForkedRunByteIdentical(t *testing.T) {
 	plain := buildSpec(t, forkBaseSpec, nil)
 	want := resultBytes(t, plain)
 	for _, horizon := range []int{1, 7, 40} {
-		forked := buildSpec(t, forkBaseSpec, func(s *Spec) {
-			s.Fork = &ForkSpec{Rounds: horizon}
+		forked := buildSpec(t, forkBaseSpec, func(s *scenario.Spec) {
+			s.Fork = &scenario.ForkSpec{Rounds: horizon}
 		})
 		if got := resultBytes(t, forked); !bytes.Equal(got, want) {
 			t.Errorf("fork at round %d diverged from the unforked run", horizon)
@@ -80,13 +81,13 @@ func TestForkedRunByteIdentical(t *testing.T) {
 // snapshot must equal B simulating its own prefix — the property that
 // makes cross-cell snapshot sharing sound.
 func TestSharedSnapshotMatchesOwnCapture(t *testing.T) {
-	fork := &ForkSpec{Rounds: 12, Policy: "packed-sticky", Sched: "fifo"}
-	cellA := buildSpec(t, forkBaseSpec, func(s *Spec) {
-		s.Fork = &ForkSpec{Rounds: fork.Rounds, Policy: fork.Policy, Sched: fork.Sched}
+	fork := &scenario.ForkSpec{Rounds: 12, Policy: "packed-sticky", Sched: "fifo"}
+	cellA := buildSpec(t, forkBaseSpec, func(s *scenario.Spec) {
+		s.Fork = &scenario.ForkSpec{Rounds: fork.Rounds, Policy: fork.Policy, Sched: fork.Sched}
 		s.Policy.Name = "pal"
 	})
-	cellB := buildSpec(t, forkBaseSpec, func(s *Spec) {
-		s.Fork = &ForkSpec{Rounds: fork.Rounds, Policy: fork.Policy, Sched: fork.Sched}
+	cellB := buildSpec(t, forkBaseSpec, func(s *scenario.Spec) {
+		s.Fork = &scenario.ForkSpec{Rounds: fork.Rounds, Policy: fork.Policy, Sched: fork.Sched}
 		s.Policy.Name = "pm-first"
 		s.Sched.Name = "srtf"
 		s.Sched.Params = nil
@@ -126,24 +127,24 @@ func TestSharedSnapshotMatchesOwnCapture(t *testing.T) {
 // TestPrefixKeySensitivity: the prefix key must separate cells whose
 // warmup runs genuinely differ — and only those.
 func TestPrefixKeySensitivity(t *testing.T) {
-	base := func() *Built {
-		return buildSpec(t, forkBaseSpec, func(s *Spec) {
-			s.Fork = &ForkSpec{Rounds: 10, Policy: "packed-sticky"}
+	base := func() *scenario.Built {
+		return buildSpec(t, forkBaseSpec, func(s *scenario.Spec) {
+			s.Fork = &scenario.ForkSpec{Rounds: 10, Policy: "packed-sticky"}
 		})
 	}
 	ref := base().PrefixKey()
 
 	// The cell's own post-fork policy must NOT move the prefix key.
-	same := buildSpec(t, forkBaseSpec, func(s *Spec) {
-		s.Fork = &ForkSpec{Rounds: 10, Policy: "packed-sticky"}
+	same := buildSpec(t, forkBaseSpec, func(s *scenario.Spec) {
+		s.Fork = &scenario.ForkSpec{Rounds: 10, Policy: "packed-sticky"}
 		s.Policy.Name = "pm-first"
 	})
 	if same.PrefixKey() != ref {
 		t.Error("post-fork policy perturbs the prefix key (kills snapshot sharing)")
 	}
 	// Neither must the cell's name.
-	renamed := buildSpec(t, forkBaseSpec, func(s *Spec) {
-		s.Fork = &ForkSpec{Rounds: 10, Policy: "packed-sticky"}
+	renamed := buildSpec(t, forkBaseSpec, func(s *scenario.Spec) {
+		s.Fork = &scenario.ForkSpec{Rounds: 10, Policy: "packed-sticky"}
 		s.Name = "other"
 	})
 	if renamed.PrefixKey() != ref {
@@ -151,18 +152,18 @@ func TestPrefixKeySensitivity(t *testing.T) {
 	}
 
 	// Everything the warmup run can observe must move it.
-	perturb := map[string]func(*Spec){
-		"horizon":       func(s *Spec) { s.Fork.Rounds = 11 },
-		"warmup policy": func(s *Spec) { s.Fork.Policy = "random-sticky" },
-		"warmup sched":  func(s *Spec) { s.Fork.Sched = "fifo" },
-		"seed":          func(s *Spec) { s.Seed = 2 },
-		"cluster":       func(s *Spec) { s.Cluster.Nodes = 5 },
-		"round length":  func(s *Spec) { s.Engine.RoundSec = 120 },
-		"metrics off":   func(s *Spec) { s.Metrics = MetricsSpec{} },
+	perturb := map[string]func(*scenario.Spec){
+		"horizon":       func(s *scenario.Spec) { s.Fork.Rounds = 11 },
+		"warmup policy": func(s *scenario.Spec) { s.Fork.Policy = "random-sticky" },
+		"warmup sched":  func(s *scenario.Spec) { s.Fork.Sched = "fifo" },
+		"seed":          func(s *scenario.Spec) { s.Seed = 2 },
+		"cluster":       func(s *scenario.Spec) { s.Cluster.Nodes = 5 },
+		"round length":  func(s *scenario.Spec) { s.Engine.RoundSec = 120 },
+		"metrics off":   func(s *scenario.Spec) { s.Metrics = scenario.MetricsSpec{} },
 	}
 	for what, mutate := range perturb {
-		b := buildSpec(t, forkBaseSpec, func(s *Spec) {
-			s.Fork = &ForkSpec{Rounds: 10, Policy: "packed-sticky"}
+		b := buildSpec(t, forkBaseSpec, func(s *scenario.Spec) {
+			s.Fork = &scenario.ForkSpec{Rounds: 10, Policy: "packed-sticky"}
 			mutate(s)
 		})
 		if b.PrefixKey() == ref {
@@ -176,8 +177,8 @@ func TestPrefixKeySensitivity(t *testing.T) {
 // cache key; a fork block must also survive grid expansion into every
 // cell.
 func TestForkNormalization(t *testing.T) {
-	explicit := buildSpec(t, forkBaseSpec, func(s *Spec) {
-		s.Fork = &ForkSpec{Rounds: 10, Policy: s.Policy.Name, Sched: s.Sched.Name}
+	explicit := buildSpec(t, forkBaseSpec, func(s *scenario.Spec) {
+		s.Fork = &scenario.ForkSpec{Rounds: 10, Policy: s.Policy.Name, Sched: s.Sched.Name}
 	})
 	if explicit.Spec.Fork.Policy != "" || explicit.Spec.Fork.Sched != "" {
 		t.Errorf("own-policy warmup did not canonicalize to empty: %+v", explicit.Spec.Fork)
@@ -190,7 +191,7 @@ func TestForkNormalization(t *testing.T) {
 		"fork": {"rounds": 8, "policy": "packed-sticky"},
 		"grid": {"policies": ["pal", "pm-first"]}
 	}`)
-	s, err := Parse([]byte(src))
+	s, err := scenario.Parse([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestForkNormalization(t *testing.T) {
 
 // TestForkRejectsBadHorizon: a non-positive horizon is a spec error.
 func TestForkRejectsBadHorizon(t *testing.T) {
-	_, err := Parse([]byte(`{
+	_, err := scenario.Parse([]byte(`{
 		"name": "bad",
 		"workload": {"source": "synthetic", "num_jobs": 10},
 		"fork": {"rounds": 0}
@@ -235,8 +236,8 @@ func TestForkRejectsBadHorizon(t *testing.T) {
 func TestForkPastEndOfRun(t *testing.T) {
 	plain := buildSpec(t, forkBaseSpec, nil)
 	want := resultBytes(t, plain)
-	forked := buildSpec(t, forkBaseSpec, func(s *Spec) {
-		s.Fork = &ForkSpec{Rounds: 1000000}
+	forked := buildSpec(t, forkBaseSpec, func(s *scenario.Spec) {
+		s.Fork = &scenario.ForkSpec{Rounds: 1000000}
 	})
 	if got := resultBytes(t, forked); !bytes.Equal(got, want) {
 		t.Error("past-end fork diverged from the unforked run")

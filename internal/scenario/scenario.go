@@ -92,9 +92,9 @@ type ClusterSpec struct {
 // with vprof.Profile.Save.
 type ProfileSpec struct {
 	Source string `json:"source"` // longhorn | frontera | testbed | file; default longhorn
-	// Seed for profile generation and GPU sampling. Defaults to the
-	// experiments layer's constants (0x9A1; the testbed source uses its
-	// shifted seed 0x9A8), so a scenario on a 64-GPU longhorn cluster
+	// Seed for profile generation and GPU sampling. Defaults to
+	// ProfileSeed (TestbedSeed for the testbed source), the seeds the
+	// paper figures use, so a scenario on a 64-GPU longhorn cluster
 	// experiences the exact profile Fig. 11 ran on and a testbed
 	// scenario the exact Fig. 8 profile.
 	Seed uint64 `json:"seed,omitempty"`
@@ -323,15 +323,13 @@ func (s *Spec) normalize() {
 		s.Profile.Source = "longhorn"
 	}
 	if s.Profile.Seed == 0 {
-		// Default to the experiments layer's seeds so a scenario over a
-		// same-sized cluster experiences the exact per-GPU scores the
-		// paper figures ran on (the testbed generator uses a shifted
-		// seed there, matching Fig. 8).
+		// Default to the paper figures' seeds (ProfileSeed documents
+		// why).
 		switch s.Profile.Source {
 		case "longhorn", "frontera":
-			s.Profile.Seed = defaultProfileSeed
+			s.Profile.Seed = ProfileSeed
 		case "testbed":
-			s.Profile.Seed = defaultTestbedSeed
+			s.Profile.Seed = TestbedSeed
 		}
 	}
 	if s.Workload.Source == "" {

@@ -183,7 +183,7 @@ type Config struct {
 	Lrack float64
 
 	// RoundSec is the scheduling-round length (the paper uses 300 s).
-	// Defaults to 300 when zero.
+	// Defaults to DefaultRoundSec when zero.
 	RoundSec float64
 
 	// MaxRounds caps the simulation as a runaway guard. Defaults to
@@ -204,6 +204,8 @@ type Config struct {
 	// pays in a round where its allocation changed (§IV-A1 notes these
 	// overheads exist but are small relative to job runtime). A migrated
 	// job makes progress for RoundSec - MigrationPenaltySec of the round.
+	// Zero charges nothing; the configuration layers above the engine
+	// default it to DefaultMigrationPenaltySec.
 	MigrationPenaltySec float64
 
 	// Observer, when non-nil, receives each running job's realized
@@ -323,10 +325,20 @@ type Observer interface {
 	ObserveRound(j *Job, perGPU []float64, now float64)
 }
 
+// DefaultRoundSec is the round length a zero Config.RoundSec selects.
+const DefaultRoundSec = 300
+
+// DefaultMigrationPenaltySec is the checkpoint/restore cost the
+// configuration layers charge per migration when they leave it unset
+// (§IV-A1: small relative to job runtimes — 10 s against multi-hour
+// jobs, ~3% of a round worst case — but enough that gratuitous
+// non-sticky reshuffling is not free).
+const DefaultMigrationPenaltySec = 10
+
 // withDefaults returns a copy of cfg with zero fields defaulted.
 func (cfg Config) withDefaults() Config {
 	if cfg.RoundSec <= 0 {
-		cfg.RoundSec = 300
+		cfg.RoundSec = DefaultRoundSec
 	}
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 1_000_000
