@@ -93,12 +93,6 @@ type RunSpec struct {
 	// retrievable with decision.FromResult. Recording is
 	// fast-forward-safe, like RecordMetrics.
 	RecordDecisions bool
-	RoundSec        float64
-
-	// MigrationPenaltySec overrides the default checkpoint/restore cost
-	// charged when a running job's allocation changes; negative disables
-	// it. Zero selects sim.DefaultMigrationPenaltySec.
-	MigrationPenaltySec float64
 
 	// Counters, when non-nil, receives the engine's introspection
 	// counters (sim.Config.Counters). It is an observation-only
@@ -174,17 +168,15 @@ func Run(spec RunSpec) (*sim.Result, error) {
 		dc = &decision.Config{Label: spec.label(), Policy: policy, Sched: schedName}
 	}
 	cfg, err := scenario.Lower(sim.Config{
-		Topology:            spec.Topo,
-		Trace:               spec.Trace,
-		Sched:               spec.Sched,
-		TrueProfile:         spec.Profile,
-		Lacross:             spec.Lacross,
-		ModelLacross:        spec.ModelLacross,
-		MeasureFirst:        spec.MeasureFirst,
-		MeasureLast:         spec.MeasureLast,
-		RoundSec:            spec.RoundSec,
-		MigrationPenaltySec: spec.MigrationPenaltySec,
-		Counters:            spec.Counters,
+		Topology:     spec.Topo,
+		Trace:        spec.Trace,
+		Sched:        spec.Sched,
+		TrueProfile:  spec.Profile,
+		Lacross:      spec.Lacross,
+		ModelLacross: spec.ModelLacross,
+		MeasureFirst: spec.MeasureFirst,
+		MeasureLast:  spec.MeasureLast,
+		Counters:     spec.Counters,
 	}, policy, policySeed(spec.Policy, spec.Seed), view, mc, dc)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)

@@ -13,7 +13,7 @@ import (
 // *deliberately* changed the encoding, a generator, or a seed constant:
 // bump the version tag in RunSpec.Key and update the constant below in
 // the same commit.
-const goldenRunSpecKey = "09d74ff50f6d8b66b1e0a5fdd2498e38cb38db0468f0e5f5ca85a6a56247b8ad"
+const goldenRunSpecKey = "2f22ae32b940b2b6ec5446b041dffaca4ab9bdc49a17138ed39d235db8d458bf"
 
 func TestGoldenRunSpecKey(t *testing.T) {
 	spec := RunSpec{

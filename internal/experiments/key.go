@@ -47,12 +47,14 @@ func profileDigest(p *vprof.Profile) string {
 // entries between instrumented and bare runs of the same simulation.
 func (s RunSpec) Key() string {
 	h := runner.NewHash()
-	// v4: the engine's legacy utilization-series and event-log flags left
+	// v5: the unused RoundSec and MigrationPenaltySec options left the
+	// encoding (every run takes the engine's default round length and
+	// the default migration penalty). v4: the engine's legacy utilization-series and event-log flags left
 	// the encoding and MetricsSeries joined it (a result must never alias
 	// one carrying other series). v3: RecordDecisions joined the encoding
 	// (a trace-carrying result must never alias a bare one in the cache);
 	// v2 added RecordMetrics for the same reason.
-	h.String("runspec/v4")
+	h.String("runspec/v5")
 
 	// Traces are regenerated per call site, so they hash by content,
 	// not pointer identity: equal workloads hash equal wherever they
@@ -105,7 +107,5 @@ func (s RunSpec) Key() string {
 		}
 	}
 	h.Bool(s.RecordDecisions)
-	h.Float64(s.RoundSec)
-	h.Float64(s.MigrationPenaltySec)
 	return h.Sum()
 }
