@@ -79,7 +79,7 @@ func main() {
 		} else {
 			t = timelineTable(tr)
 		}
-		if err := emit(t, *format, *outDir); err != nil {
+		if err := export.Emit(t, *format, *outDir); err != nil {
 			fatal(err)
 		}
 	}
@@ -341,41 +341,6 @@ func annotate(t *experiments.Table, tr *decision.Trace) {
 		}
 		t.Note("key %s", key)
 	}
-}
-
-// emit writes one table to stdout or to <outDir>/<name>.<ext> — the same
-// rendering contract as palsweep and palreport.
-func emit(t *experiments.Table, format, outDir string) error {
-	render := func(w *os.File) error {
-		switch format {
-		case "text":
-			_, err := fmt.Fprint(w, t.String())
-			return err
-		case "csv":
-			return export.TableCSV(w, t)
-		case "md":
-			return export.TableMarkdown(w, t)
-		case "json":
-			return export.TableJSON(w, t)
-		}
-		return fmt.Errorf("unknown format %q", format)
-	}
-	if outDir == "" {
-		return render(os.Stdout)
-	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	ext := map[string]string{"text": "txt", "csv": "csv", "md": "md", "json": "json"}[format]
-	f, err := os.Create(filepath.Join(outDir, t.Name+"."+ext))
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

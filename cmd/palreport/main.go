@@ -120,7 +120,7 @@ func main() {
 				have[p.Key] = true
 			}
 		}
-		if err := emit(gridCoverageTable(cells, have), *format, *outDir); err != nil {
+		if err := export.Emit(gridCoverageTable(cells, have), *format, *outDir); err != nil {
 			fatal(err)
 		}
 		if len(payloads) == 0 {
@@ -158,7 +158,7 @@ func main() {
 		comparisonTable(payloads, base),
 		cdfTable(payloads),
 	} {
-		if err := emit(t, *format, *outDir); err != nil {
+		if err := export.Emit(t, *format, *outDir); err != nil {
 			fatal(err)
 		}
 	}
@@ -167,7 +167,7 @@ func main() {
 		if len(traces) == 0 {
 			fatal(fmt.Errorf("-decisions: no decision traces found in %q (enable the spec's decisions block and re-archive)", *in))
 		}
-		if err := emit(decisionsTable(traces), *format, *outDir); err != nil {
+		if err := export.Emit(decisionsTable(traces), *format, *outDir); err != nil {
 			fatal(err)
 		}
 	}
@@ -555,41 +555,6 @@ func cdfTable(payloads []*metrics.Payload) *experiments.Table {
 		t.AddRowf(row...)
 	}
 	return t
-}
-
-// emit writes one table to stdout or to <outDir>/<name>.<ext> — the same
-// rendering contract as palsweep.
-func emit(t *experiments.Table, format, outDir string) error {
-	render := func(w *os.File) error {
-		switch format {
-		case "text":
-			_, err := fmt.Fprint(w, t.String())
-			return err
-		case "csv":
-			return export.TableCSV(w, t)
-		case "md":
-			return export.TableMarkdown(w, t)
-		case "json":
-			return export.TableJSON(w, t)
-		}
-		return fmt.Errorf("unknown format %q", format)
-	}
-	if outDir == "" {
-		return render(os.Stdout)
-	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	ext := map[string]string{"text": "txt", "csv": "csv", "md": "md", "json": "json"}[format]
-	f, err := os.Create(filepath.Join(outDir, t.Name+"."+ext))
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

@@ -91,7 +91,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -352,7 +351,7 @@ func main() {
 			failures++
 			continue
 		}
-		if err := emit(o.table, *format, *outDir); err != nil {
+		if err := export.Emit(o.table, *format, *outDir); err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
 		if *format == "text" && *outDir == "" {
@@ -680,7 +679,7 @@ func runScenarioSweep(ctx context.Context, pool *runner.Pool, snapCache *runner.
 	if err != nil {
 		fatal(err)
 	}
-	if err := emit(table, format, outDir); err != nil {
+	if err := export.Emit(table, format, outDir); err != nil {
 		fatal(err)
 	}
 	if !quiet {
@@ -764,44 +763,6 @@ func progressLoop(pool *runner.Pool, names []string, completed *sync.Map, start 
 			finished, len(names), st.Completed, st.Submitted-st.Completed, st.CacheHits,
 			elapsed.Truncate(time.Second), eta)
 	}
-}
-
-// emit writes one table to stdout or to <outDir>/<name>.<ext>.
-func emit(t *experiments.Table, format, outDir string) error {
-	render := func(w *os.File) error {
-		switch format {
-		case "text":
-			_, err := fmt.Fprint(w, t.String())
-			return err
-		case "csv":
-			return export.TableCSV(w, t)
-		case "md":
-			return export.TableMarkdown(w, t)
-		case "json":
-			return export.TableJSON(w, t)
-		default:
-			return fmt.Errorf("unknown format %q", format)
-		}
-	}
-	if outDir == "" {
-		return render(os.Stdout)
-	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	ext := map[string]string{"text": "txt", "csv": "csv", "md": "md", "json": "json"}[format]
-	if ext == "" {
-		return fmt.Errorf("unknown format %q", format)
-	}
-	f, err := os.Create(filepath.Join(outDir, t.Name+"."+ext))
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

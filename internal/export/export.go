@@ -8,12 +8,54 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
+
+// tableFormats maps each table format name to its file extension and
+// renderer.
+var tableFormats = map[string]struct {
+	ext   string
+	write func(io.Writer, *experiments.Table) error
+}{
+	"text": {"txt", func(w io.Writer, t *experiments.Table) error {
+		_, err := io.WriteString(w, t.String())
+		return err
+	}},
+	"csv":  {"csv", TableCSV},
+	"md":   {"md", TableMarkdown},
+	"json": {"json", TableJSON},
+}
+
+// Emit renders t in format ("text", "csv", "md" or "json") to stdout,
+// or into outDir/<t.Name>.<ext> when outDir is non-empty. An unknown
+// format is rejected before anything is created.
+func Emit(t *experiments.Table, format, outDir string) error {
+	tf, ok := tableFormats[format]
+	if !ok {
+		return fmt.Errorf("unknown format %q", format)
+	}
+	if outDir == "" {
+		return tf.write(os.Stdout, t)
+	}
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(outDir, t.Name+"."+tf.ext))
+	if err != nil {
+		return err
+	}
+	if err := tf.write(f, t); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // TableCSV writes a Table as CSV: header row, then data rows. Notes are
 // emitted as trailing comment-style rows prefixed with "#" in the first

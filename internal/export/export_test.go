@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -88,6 +90,38 @@ func runSample(t *testing.T) *sim.Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestEmitRejectsUnknownFormat: an unknown format with an output
+// directory is an error that leaves nothing behind, not an empty file.
+func TestEmitRejectsUnknownFormat(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "out")
+	if err := Emit(sampleTable(), "xml", dir); err == nil {
+		t.Fatal("unknown format accepted")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("unknown format created %s (stat err %v)", dir, err)
+	}
+}
+
+// TestEmitWritesFile: a known format lands in <outDir>/<name>.<ext>
+// with the renderer's bytes.
+func TestEmitWritesFile(t *testing.T) {
+	dir := t.TempDir()
+	if err := Emit(sampleTable(), "csv", dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "t1.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := TableCSV(&want, sampleTable()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("emitted file differs from TableCSV:\n%s\nwant:\n%s", got, want.Bytes())
+	}
 }
 
 func TestResultJSON(t *testing.T) {
