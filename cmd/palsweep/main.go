@@ -2,9 +2,9 @@
 // concurrently through the runner pool, with progress/ETA reporting and
 // JSON/CSV/Markdown export.
 //
-// Where palexp executes one experiment at a time, palsweep fans every
-// requested experiment's simulation grid out across a shared worker
-// pool: independent simulations from different experiments interleave
+// palsweep -experiments fans every requested experiment's simulation
+// grid out across a shared worker pool (-experiments fig11 runs just
+// one): independent simulations from different experiments interleave
 // freely, the content-addressed result cache deduplicates overlapping
 // configurations (e.g. the Sia baseline feeding fig11, fig12 and
 // headline), and each experiment's table is still assembled from
