@@ -144,7 +144,7 @@ func SampledProfile(name, source string, gpus int, seed uint64) (*vprof.Profile,
 // TestbedProfile returns the 64-GPU Frontera testbed profile (Fig. 8)
 // generated from seed.
 func TestbedProfile(seed uint64) *vprof.Profile {
-	return profileMemo.Get(profileKey{source: "testbed", gpus: testbedGPUs, seed: seed}, func() *vprof.Profile {
+	return profileMemo.Get(profileKey{source: "testbed", seed: seed}, func() *vprof.Profile {
 		return vprof.GenerateTestbed(seed)
 	})
 }
