@@ -49,9 +49,10 @@ func (s RunSpec) Key() string {
 	h := runner.NewHash()
 	// v5: the unused RoundSec and MigrationPenaltySec options left the
 	// encoding (every run takes the engine's default round length and
-	// the default migration penalty). v4: the engine's legacy utilization-series and event-log flags left
-	// the encoding and MetricsSeries joined it (a result must never alias
-	// one carrying other series). v3: RecordDecisions joined the encoding
+	// the default migration penalty). v4: the engine's legacy
+	// utilization-series and event-log flags left the encoding and
+	// MetricsSeries joined it (a result must never alias one carrying
+	// other series). v3: RecordDecisions joined the encoding
 	// (a trace-carrying result must never alias a bare one in the cache);
 	// v2 added RecordMetrics for the same reason.
 	h.String("runspec/v5")
