@@ -1,14 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/journal"
-	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // journalTestSpec is a small single-run scenario: one simulation, one
@@ -21,19 +22,21 @@ const journalTestSpec = `{
   "policy": {"name": "pal"}
 }`
 
-// resetJournalState restores palsim's journal globals between runs, so
-// one test can exercise several invocations of the single-run pipeline.
-func resetJournalState() {
-	jw = nil
-	storeProbe = nil
-	tally = runner.Stats{}
-	cacheTally = runner.CacheStats{}
-	engineCtrs = &sim.Counters{}
+// openSession opens a palsim session over storeDir and journalDir
+// (either may be empty), failing the test on error.
+func openSession(t *testing.T, storeDir, journalDir string) *session {
+	t.Helper()
+	s, err := newSession(storeDir, journalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // TestSingleRunJournalReconciles pins the palsim half of the journal
-// contract: a single-task journal written by palsim's throughStore
-// wiring must reconcile exactly with what palreport's TOTAL row
+// contract: a single-task journal written by palsim's session — one
+// task through a 1-worker pool whose cache the store backs — must
+// reconcile exactly with what palreport's TOTAL row
 // derives from it — one task span, worker count 1, one store Get per
 // task, and engine counters whose summary total equals both the task
 // event's counters and the run's Result.Rounds. A warm re-run through
@@ -57,17 +60,12 @@ func TestSingleRunJournalReconciles(t *testing.T) {
 	storeDir := filepath.Join(dir, "store")
 
 	// Cold run: simulate, store, journal one executed span.
-	resetJournalState()
-	defer resetJournalState()
 	coldDir := filepath.Join(dir, "journal-cold")
-	jw, err = journal.Create(coldDir, journal.Header{Role: "palsim", Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	built.Counters = engineCtrs
-	res := throughStore(storeDir, built.Key(), built.Spec.Name, built.Run)
-	ranCounters := *engineCtrs
-	finishJournal()
+	cold := openSession(t, storeDir, coldDir)
+	built.Counters = cold.ctrs
+	res := cold.run(built.Key(), built.Spec.Name, built.Run)
+	ranCounters := *cold.ctrs
+	cold.finish(io.Discard)
 
 	procs, err := journal.LoadDir(coldDir)
 	if err != nil {
@@ -115,15 +113,11 @@ func TestSingleRunJournalReconciles(t *testing.T) {
 
 	// Warm run: the store satisfies the task, so the span is a store hit
 	// with no counters attached — no engine stepped in this process.
-	resetJournalState()
 	warmDir := filepath.Join(dir, "journal-warm")
-	jw, err = journal.Create(warmDir, journal.Header{Role: "palsim", Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	built.Counters = engineCtrs
-	warmRes := throughStore(storeDir, built.Key(), built.Spec.Name, built.Run)
-	finishJournal()
+	warm := openSession(t, storeDir, warmDir)
+	built.Counters = warm.ctrs
+	warmRes := warm.run(built.Key(), built.Spec.Name, built.Run)
+	warm.finish(io.Discard)
 	if warmRes.Rounds != res.Rounds {
 		t.Errorf("warm store hit returned %d rounds, cold run had %d", warmRes.Rounds, res.Rounds)
 	}
@@ -142,5 +136,45 @@ func TestSingleRunJournalReconciles(t *testing.T) {
 	}
 	if p.Summary == nil || p.Summary.Engine != nil {
 		t.Error("store-hit summary should carry no engine total")
+	}
+}
+
+// TestStoreGetFailureDegrades: a stored object that no longer decodes
+// makes the store's Get fail. The run must still return the result —
+// the cache degrades to simulating — and palsim must print the shared
+// store WARNING.
+func TestStoreGetFailureDegrades(t *testing.T) {
+	path := writeSpec(t, journalTestSpec)
+	storeDir := filepath.Join(t.TempDir(), "store")
+	var want, coldErr bytes.Buffer
+	cold := openSession(t, storeDir, "")
+	runScenario(&want, cold, path, "", outputFlags{})
+	cold.finish(&coldErr)
+	if strings.Contains(coldErr.String(), "WARNING") {
+		t.Fatalf("healthy cold run warned:\n%s", coldErr.String())
+	}
+
+	objects, err := filepath.Glob(filepath.Join(storeDir, "*", "objects", "*", "*.json"))
+	if err != nil || len(objects) != 1 {
+		t.Fatalf("store objects %v (err %v), want exactly one", objects, err)
+	}
+	if err := os.WriteFile(objects[0], []byte("{not a result"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var got, stderr bytes.Buffer
+	warm := openSession(t, storeDir, "")
+	runScenario(&got, warm, path, "", outputFlags{})
+	warm.finish(&stderr)
+	if got.String() != want.String() {
+		t.Errorf("degraded run reported\n%s\nwant\n%s", got.String(), want.String())
+	}
+	for _, line := range []string{
+		"palsim: 1 simulated, 0 cache hits (0 memory, 0 store), 1 stored, 1 store errors\n",
+		"palsim: WARNING: persistent store degraded: 1 backend errors\n",
+	} {
+		if !strings.Contains(stderr.String(), line) {
+			t.Errorf("stderr lacks %q:\n%s", line, stderr.String())
+		}
 	}
 }

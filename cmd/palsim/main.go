@@ -31,12 +31,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"slices"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/decision"
@@ -79,27 +79,32 @@ func main() {
 	)
 	flag.Parse()
 
-	var err error
-	stopProfiles, err = journal.StartProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := journal.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
 		os.Exit(2)
 	}
-	if *journalDir != "" {
-		jw, err = journal.Create(*journalDir, journal.Header{Role: "palsim", Workers: 1})
-		if err != nil {
+	sess, err := newSession(*storeDir, *journalDir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
+		os.Exit(2)
+	}
+	// finish runs on every clean exit path; fatal paths leave a
+	// summary-less journal, which the reader reports as incomplete.
+	finish := func() {
+		sess.finish(os.Stderr)
+		if err := stopProfiles(); err != nil {
 			fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-			os.Exit(2)
 		}
 	}
 
 	out := outputFlags{
 		asJSON: *asJSON, events: *events, utilize: *utilize,
-		metricsDir: *metricsDir, decisions: *decisions, storeDir: *storeDir,
+		metricsDir: *metricsDir, decisions: *decisions,
 	}
 	if *scenPath != "" {
-		runScenario(os.Stdout, *scenPath, *dumpTrace, out)
-		finishJournal()
+		runScenario(os.Stdout, sess, *scenPath, *dumpTrace, out)
+		finish()
 		return
 	}
 	if *dumpTrace != "" {
@@ -148,13 +153,12 @@ func main() {
 		Lacross:         *lacross,
 		Seed:            *seed,
 		RecordDecisions: *decisions,
-		Counters:        engineCtrs,
 	}
 	if *perModel {
 		spec.ModelLacross = trace.LacrossByModel()
 	}
-	runFlagSpec(os.Stdout, spec, out)
-	finishJournal()
+	runFlagSpec(os.Stdout, sess, spec, out)
+	finish()
 }
 
 // outputFlags are the output-shaping flags both run paths honor.
@@ -164,7 +168,6 @@ type outputFlags struct {
 	utilize    bool // print the gpus_in_use deciles
 	metricsDir string
 	decisions  bool
-	storeDir   string
 }
 
 // collector reports whether the output flags need a metrics collector
@@ -181,14 +184,14 @@ func (o outputFlags) collector() (on bool, series []string) {
 	return false, nil
 }
 
-// runFlagSpec runs the flag-built configuration (through the store when
-// -store is set) and prints or archives its outputs. It returns the
-// result for tests.
-func runFlagSpec(w io.Writer, spec experiments.RunSpec, out outputFlags) *sim.Result {
+// runFlagSpec runs the flag-built configuration through the session
+// and prints or archives its outputs. It returns the result for tests.
+func runFlagSpec(w io.Writer, s *session, spec experiments.RunSpec, out outputFlags) *sim.Result {
 	spec.RecordMetrics, spec.MetricsSeries = out.collector()
+	spec.Counters = s.ctrs
 	policy, schedName := spec.Policy.RegistryName(), spec.Sched.Name()
 	label := fmt.Sprintf("%s %s %s", spec.Trace.Name, policy, schedName)
-	res := throughStore(out.storeDir, spec.Key(), label, func() (*sim.Result, error) {
+	res := s.run(spec.Key(), label, func() (*sim.Result, error) {
 		return experiments.Run(spec)
 	})
 	if out.metricsDir != "" {
@@ -200,127 +203,77 @@ func runFlagSpec(w io.Writer, spec experiments.RunSpec, out outputFlags) *sim.Re
 	return res
 }
 
-// Journal state for the optional -journal/-cpuprofile/-memprofile
-// flags. palsim runs one simulation, so the journal holds a single
-// synthetic worker slot whose tallies throughStore maintains; fatal
-// paths leave a summary-less journal, which the reader reports as
-// incomplete rather than guessing.
-var (
-	jw           *journal.Writer
-	storeProbe   *journal.BackendProbe
-	tally        runner.Stats
-	cacheTally   runner.CacheStats
-	stopProfiles = func() error { return nil }
-	// engineCtrs collects the run's engine introspection counters; both
-	// run paths attach it to their config, throughStore hands it to the
-	// journal for executed outcomes, and finishJournal prints its
-	// summary (a store hit leaves it empty: no engine stepped here).
-	engineCtrs = &sim.Counters{}
-)
-
-// finishJournal closes the journal with the run's summary and flushes
-// any profiles; called on every clean exit path.
-func finishJournal() {
-	if engineCtrs.TotalRounds() > 0 {
-		fmt.Fprintf(os.Stderr, "palsim: %s\n", engineCtrs.Summary())
-	}
-	if jw != nil {
-		ct := cacheTally
-		sum := journal.Summary{Runner: tally, Cache: &ct}
-		if storeProbe != nil {
-			sum.StoreGet, sum.StorePut = storeProbe.Stats()
-		}
-		if err := jw.Close(sum); err != nil {
-			fmt.Fprintf(os.Stderr, "palsim: WARNING: journal degraded: %v\n", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "palsim: journal %s\n", jw.Path())
-		}
-	}
-	if err := stopProfiles(); err != nil {
-		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-	}
+// session is one palsim invocation's orchestration, wired the way
+// palsweep wires a sweep: a 1-worker pool whose result cache -store
+// backs (through the journal's store probe with -journal), the
+// optional journal observing the pool, and the engine counters the run
+// attaches. A warm start is the cache's store tier serving the task.
+type session struct {
+	pool  *runner.Pool
+	jw    *journal.Writer       // nil without -journal
+	probe *journal.BackendProbe // nil unless both -store and -journal
+	ctrs  *sim.Counters
 }
 
-// throughStore runs the simulation through the persistent store when
-// -store is set: a stored result for the run's content-addressed key is
-// loaded instead of simulating, and a fresh result is persisted for
-// later invocations. Store failures degrade to simulating (with an
-// explicit WARNING), mirroring the runner cache's backend semantics. It
-// finishes with the same `simulated / cache hits (memory, store) /
-// stored` summary line palsweep prints, so warm starts are observable
-// from both CLIs (palsim has no in-memory tier, so "memory" is always 0
-// here). With -journal, the run lands in the journal as one task span
-// whose outcome names the tier that satisfied it.
-func throughStore(dir, key, label string, run func() (*sim.Result, error)) *sim.Result {
-	start := time.Now()
-	observe := func(outcome runner.TaskOutcome, runDur time.Duration, err error) {
-		tally.Submitted++
-		tally.Completed++
-		switch outcome {
-		case runner.OutcomeStoreHit:
-			tally.CacheHits++
-			cacheTally.StoreHits++
-		default:
-			tally.Executed++
-			cacheTally.Misses++
-		}
-		if jw != nil {
-			var ctrs *sim.Counters
-			if outcome == runner.OutcomeExecuted {
-				ctrs = engineCtrs
-			}
-			jw.ObserveTask(runner.TaskSpan{Key: key, Label: label, Outcome: outcome,
-				Err: err, Start: start, Duration: time.Since(start), Run: runDur,
-				Counters: ctrs})
-		}
-	}
-	var backend runner.Backend
-	if dir != "" {
-		st, err := store.Open(dir)
+// newSession opens the journal in journalDir and the store in storeDir;
+// either may be empty.
+func newSession(storeDir, journalDir string) (*session, error) {
+	s := &session{pool: runner.NewPool(1, runner.NewResultCache(1)), ctrs: &sim.Counters{}}
+	if journalDir != "" {
+		jw, err := journal.Create(journalDir, journal.Header{Role: "palsim", Workers: 1})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-			os.Exit(2)
+			return nil, err
 		}
-		backend = st
-		if jw != nil {
-			storeProbe = journal.ProbeBackend(st)
-			backend = storeProbe
-		}
-		res, ok, err := backend.Get(key)
-		switch {
-		case err != nil:
-			cacheTally.StoreErrors++
-			fmt.Fprintf(os.Stderr, "palsim: WARNING: store degraded, simulating: %v\n", err)
-		case ok:
-			fmt.Fprintf(os.Stderr, "palsim: loaded result from store (key %s)\n", key[:16])
-			fmt.Fprintln(os.Stderr, "palsim: 0 simulated, 1 cache hits (0 memory, 1 store)")
-			observe(runner.OutcomeStoreHit, 0, nil)
-			return res
-		}
+		s.jw = jw
+		s.pool.SetProbe(jw)
 	}
-	t0 := time.Now()
-	res, err := run()
-	runDur := time.Since(t0)
+	if storeDir != "" {
+		st, err := store.Open(storeDir)
+		if err != nil {
+			return nil, err
+		}
+		var backend runner.Backend = st
+		if s.jw != nil {
+			s.probe = journal.ProbeBackend(st)
+			backend = s.probe
+		}
+		s.pool.Cache().SetBackend(backend)
+	}
+	return s, nil
+}
+
+// run executes the simulation as the pool's one task under its
+// content-addressed key: the cache loads a stored result instead of
+// simulating, persists a fresh one, and degrades to simulating when
+// the store fails.
+func (s *session) run(key, label string, run func() (*sim.Result, error)) *sim.Result {
+	res, err := s.pool.Run(context.Background(), []runner.Task{{
+		Key: key, Label: label, Run: run,
+		Counters: func() *sim.Counters { return s.ctrs },
+	}})
 	if err != nil {
-		observe(runner.OutcomeError, runDur, err)
 		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
 		os.Exit(1)
 	}
-	if backend != nil {
-		summary := "1 simulated, 0 cache hits (0 memory, 0 store)"
-		if perr := backend.Put(key, res); perr != nil {
-			cacheTally.StoreErrors++
-			fmt.Fprintf(os.Stderr, "palsim: WARNING: store write failed, result not persisted: %v\n", perr)
-			summary += ", 1 store errors"
-		} else {
-			cacheTally.Stored++
-			fmt.Fprintf(os.Stderr, "palsim: stored result (key %s)\n", key[:16])
-			summary += ", 1 stored"
-		}
-		fmt.Fprintf(os.Stderr, "palsim: %s\n", summary)
+	return res[0]
+}
+
+// finish writes the engine summary (when an engine stepped here), the
+// cache summary palsweep prints too, and any store WARNING to w, then
+// closes the journal with the shared summary record.
+func (s *session) finish(w io.Writer) {
+	if s.ctrs.TotalRounds() > 0 {
+		fmt.Fprintf(w, "palsim: %s\n", s.ctrs.Summary())
 	}
-	observe(runner.OutcomeExecuted, runDur, nil)
-	return res
+	fmt.Fprintf(w, "palsim: %s\n", runner.CacheSummary(s.pool))
+	runner.WarnStore(w, "palsim", s.pool, nil)
+	if s.jw != nil {
+		if err := s.jw.Close(journal.SummaryOf(s.pool, s.probe)); err != nil {
+			fmt.Fprintf(w, "palsim: WARNING: journal degraded: %v\n", err)
+		} else {
+			fmt.Fprintf(w, "palsim: journal %s\n", s.jw.Path())
+		}
+	}
 }
 
 // dumpMetrics archives a run's telemetry payload (with the cache key
@@ -359,7 +312,7 @@ func dumpMetrics(dir, base string, res *sim.Result, key string) {
 // switching the spec's metrics and decisions blocks on (with a
 // re-Normalize so the forced spec canonicalizes — and cache-keys —
 // exactly like a file that enabled them).
-func runScenario(w io.Writer, path, dumpTrace string, out outputFlags) *sim.Result {
+func runScenario(w io.Writer, s *session, path, dumpTrace string, out outputFlags) *sim.Result {
 	// The spec owns the whole configuration; a flag-built knob alongside
 	// it would be silently ignored, so reject the combination.
 	conflicting := map[string]bool{
@@ -397,7 +350,7 @@ func runScenario(w io.Writer, path, dumpTrace string, out outputFlags) *sim.Resu
 		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
 		os.Exit(2)
 	}
-	built.Counters = engineCtrs
+	built.Counters = s.ctrs
 	if dumpTrace != "" {
 		f, err := os.Create(dumpTrace)
 		if err != nil {
@@ -415,7 +368,7 @@ func runScenario(w io.Writer, path, dumpTrace string, out outputFlags) *sim.Resu
 		}
 		fmt.Fprintf(os.Stderr, "palsim: saved %d-job workload to %s\n", len(built.Trace.Jobs), dumpTrace)
 	}
-	res := throughStore(out.storeDir, built.Key(), "scenario "+spec.Name, built.Run)
+	res := s.run(built.Key(), "scenario "+spec.Name, built.Run)
 	if out.metricsDir != "" {
 		dumpMetrics(out.metricsDir, spec.Name, res, built.Key())
 	}

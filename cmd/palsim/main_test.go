@@ -32,18 +32,18 @@ func seriesNames(t *testing.T, res *sim.Result) []string {
 // coldThenWarm runs one palsim invocation twice against a fresh store:
 // the first simulates and stores, the second must load the result and
 // print exactly the same report.
-func coldThenWarm(t *testing.T, run func(out outputFlags) (*sim.Result, string), out outputFlags) (*sim.Result, string) {
+func coldThenWarm(t *testing.T, run func(s *session, out outputFlags) (*sim.Result, string), out outputFlags) (*sim.Result, string) {
 	t.Helper()
-	resetJournalState()
-	defer resetJournalState()
-	out.storeDir = filepath.Join(t.TempDir(), "store")
-	res, cold := run(out)
-	if cacheTally.Stored != 1 {
-		t.Fatalf("cold run stored %d results, want 1", cacheTally.Stored)
+	storeDir := filepath.Join(t.TempDir(), "store")
+	s := openSession(t, storeDir, "")
+	res, cold := run(s, out)
+	if st := s.pool.Cache().Stats(); st.Stored != 1 {
+		t.Fatalf("cold run stored %d results, want 1", st.Stored)
 	}
-	_, warm := run(out)
-	if cacheTally.StoreHits != 1 {
-		t.Fatalf("warm run: %d store hits, want 1", cacheTally.StoreHits)
+	s = openSession(t, storeDir, "")
+	_, warm := run(s, out)
+	if st := s.pool.Cache().Stats(); st.StoreHits != 1 {
+		t.Fatalf("warm run: %d store hits, want 1", st.StoreHits)
 	}
 	if warm != cold {
 		t.Errorf("warm store hit printed a different report:\ncold:\n%s\nwarm:\n%s", cold, warm)
@@ -83,9 +83,9 @@ const (
 )
 
 func TestUtilAndEventsFlagPath(t *testing.T) {
-	run := func(out outputFlags) (*sim.Result, string) {
+	run := func(s *session, out outputFlags) (*sim.Result, string) {
 		var buf bytes.Buffer
-		res := runFlagSpec(&buf, synergyFlagSpec(), out)
+		res := runFlagSpec(&buf, s, synergyFlagSpec(), out)
 		return res, buf.String()
 	}
 	res, report := coldThenWarm(t, run, outputFlags{utilize: true, events: 4})
@@ -132,9 +132,9 @@ func writeSpec(t *testing.T, src string) string {
 
 func TestUtilAndEventsScenarioPath(t *testing.T) {
 	path := writeSpec(t, flagsTestSpec)
-	run := func(out outputFlags) (*sim.Result, string) {
+	run := func(s *session, out outputFlags) (*sim.Result, string) {
 		var buf bytes.Buffer
-		res := runScenario(&buf, path, "", out)
+		res := runScenario(&buf, s, path, "", out)
 		return res, buf.String()
 	}
 	res, report := coldThenWarm(t, run, outputFlags{utilize: true, events: 4})
@@ -150,9 +150,8 @@ func TestUtilAndEventsScenarioPath(t *testing.T) {
 
 	// Without -util or -events no collector is attached and neither
 	// block is printed.
-	resetJournalState()
 	var buf bytes.Buffer
-	if res := runScenario(&buf, path, "", outputFlags{}); res.Metrics != nil {
+	if res := runScenario(&buf, openSession(t, "", ""), path, "", outputFlags{}); res.Metrics != nil {
 		t.Error("a collector was attached without -util, -events or -metrics")
 	}
 	if s := buf.String(); strings.Contains(s, "in-use") || strings.Contains(s, "lifecycle") {
@@ -166,10 +165,8 @@ func TestUtilKeepsSpecCollector(t *testing.T) {
 	src := strings.Replace(flagsTestSpec, `"policy"`,
 		`"metrics": {"enabled": true, "series": ["queue_depth"]}, "policy"`, 1)
 	path := writeSpec(t, src)
-	resetJournalState()
-	defer resetJournalState()
 	var buf bytes.Buffer
-	res := runScenario(&buf, path, "", outputFlags{utilize: true})
+	res := runScenario(&buf, openSession(t, "", ""), path, "", outputFlags{utilize: true})
 	want := []string{metrics.SeriesGPUsInUse, metrics.SeriesQueueDepth}
 	if got := seriesNames(t, res); !reflect.DeepEqual(got, want) {
 		t.Errorf("series %v, want %v", got, want)

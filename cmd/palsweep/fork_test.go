@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -43,6 +44,13 @@ func runCellsForked(t *testing.T, cells []scenarioCell, snapBackend runner.Snaps
 	t.Helper()
 	pool := runner.NewPool(4, runner.NewResultCache(0))
 	snapCache := runner.NewSnapshotCache(snapBackend)
+	return sweepForked(t, pool, snapCache, cells), pool.Stats(), snapCache.Stats()
+}
+
+// sweepForked submits cells to pool as runScenarioSweep does, routing
+// fork-bearing cells through snapCache, and returns the results.
+func sweepForked(t *testing.T, pool *runner.Pool, snapCache *runner.SnapshotCache, cells []scenarioCell) []*sim.Result {
+	t.Helper()
 	sweep := runner.NewSweep(pool)
 	for _, c := range cells {
 		run := c.built
@@ -57,7 +65,7 @@ func runCellsForked(t *testing.T, cells []scenarioCell, snapBackend runner.Snaps
 	if err != nil {
 		t.Fatal(err)
 	}
-	return results, pool.Stats(), snapCache.Stats()
+	return results
 }
 
 // TestForkedSweepByteIdentical is the sweep-level acceptance suite for
@@ -160,5 +168,46 @@ func TestForkedSweepStoreWarmStart(t *testing.T) {
 		if !bytes.Equal(encodeResult(t, r), ref[i]) {
 			t.Errorf("cell %d: store-forked result diverged", i)
 		}
+	}
+}
+
+// failingSnapBackend is a SnapshotBackend whose every call fails.
+type failingSnapBackend struct{}
+
+func (failingSnapBackend) GetSnapshot(string) (*sim.Snapshot, bool, error) {
+	return nil, false, errors.New("snapshot tree unreadable")
+}
+
+func (failingSnapBackend) PutSnapshot(string, *sim.Snapshot) error {
+	return errors.New("snapshot tree unwritable")
+}
+
+// TestSnapshotStoreFailureWarns: snapshot-backend failures degrade the
+// fork path to capturing without failing a cell, and palsweep's
+// end-of-sweep WARNING reports them like result-store failures.
+func TestSnapshotStoreFailureWarns(t *testing.T) {
+	specPath := writeForkGrid(t, t.TempDir())
+	cells, err := loadScenarioCells([]string{specPath}, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refResults, _ := runCells(t, cells, nil)
+
+	cells2, err := loadScenarioCells([]string{specPath}, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := runner.NewPool(4, runner.NewResultCache(0))
+	snapCache := runner.NewSnapshotCache(failingSnapBackend{})
+	results := sweepForked(t, pool, snapCache, cells2)
+	for i, r := range results {
+		if !bytes.Equal(encodeResult(t, r), encodeResult(t, refResults[i])) {
+			t.Errorf("cell %d: result diverged under a failing snapshot store", i)
+		}
+	}
+	var stderr bytes.Buffer
+	runner.WarnStore(&stderr, "palsweep", pool, snapCache)
+	if want := "palsweep: WARNING: persistent store degraded: 2 backend errors\n"; stderr.String() != want {
+		t.Errorf("warning = %q, want %q", stderr.String(), want)
 	}
 }

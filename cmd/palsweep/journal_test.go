@@ -59,12 +59,7 @@ func runCellsJournaled(tb testing.TB, cells []scenarioCell, st *store.Store, jou
 		tb.Fatal(err)
 	}
 	if jw != nil {
-		cs := cache.Stats()
-		sum := journal.Summary{Runner: pool.Stats(), Cache: &cs, StoreDetached: cache.BackendDetached()}
-		if probe != nil {
-			sum.StoreGet, sum.StorePut = probe.Stats()
-		}
-		if err := jw.Close(sum); err != nil {
+		if err := jw.Close(journal.SummaryOf(pool, probe)); err != nil {
 			tb.Fatal(err)
 		}
 	}

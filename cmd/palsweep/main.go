@@ -244,6 +244,13 @@ func main() {
 	}
 	pool := runner.NewPool(*workers, cache)
 	experiments.SetPool(pool)
+	var snapCache *runner.SnapshotCache
+	if *scenFlag != "" && *snapshots {
+		// The snapshot cache shares fork-bearing cells' warmup
+		// prefixes; with -store, captures persist beside results so
+		// shard processes (and later sweeps) fork from disk.
+		snapCache = runner.NewSnapshotCache(snapBackend)
+	}
 
 	var jw *journal.Writer
 	if *journalDir != "" {
@@ -260,18 +267,9 @@ func main() {
 	// store-degradation warning, the journal summary record, and the
 	// profile flush.
 	finish := func() {
-		storeWarning(cache)
+		runner.WarnStore(os.Stderr, "palsweep", pool, snapCache)
 		if jw != nil {
-			cs := cache.Stats()
-			sum := journal.Summary{
-				Runner:        pool.Stats(),
-				Cache:         &cs,
-				StoreDetached: cache.BackendDetached(),
-			}
-			if storeProbe != nil {
-				sum.StoreGet, sum.StorePut = storeProbe.Stats()
-			}
-			if err := jw.Close(sum); err != nil {
+			if err := jw.Close(journal.SummaryOf(pool, storeProbe)); err != nil {
 				fmt.Fprintf(os.Stderr, "palsweep: WARNING: journal degraded: %v\n", err)
 			} else if !*quiet {
 				fmt.Fprintf(os.Stderr, "palsweep: journal %s\n", jw.Path())
@@ -287,13 +285,6 @@ func main() {
 		paths, err := expandScenarioArgs(*scenFlag)
 		if err != nil {
 			fatal(err)
-		}
-		var snapCache *runner.SnapshotCache
-		if *snapshots {
-			// The snapshot cache shares fork-bearing cells' warmup
-			// prefixes; with -store, captures persist beside results so
-			// shard processes (and later sweeps) fork from disk.
-			snapCache = runner.NewSnapshotCache(snapBackend)
 		}
 		runScenarioSweep(ctx, pool, snapCache, paths, *format, *outDir, *metricsDir, *decisions, *quiet, shard, start)
 		finish()
@@ -360,61 +351,12 @@ func main() {
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "palsweep: %d experiments, %s, %d workers, %.1fs total\n",
-			len(names)-failures, cacheSummary(pool), pool.Workers(), time.Since(start).Seconds())
+			len(names)-failures, runner.CacheSummary(pool), pool.Workers(), time.Since(start).Seconds())
 	}
 	finish()
 	if failures > 0 {
 		os.Exit(1)
 	}
-}
-
-// storeWarning surfaces persistent-store degradation explicitly at the
-// end of a sweep: backend failures the cache degraded around, and
-// whether the circuit breaker detached the store entirely (results
-// computed after that point were not persisted). Printed even under
-// -quiet — silently losing persistence is worse than a noisy line.
-func storeWarning(cache *runner.ResultCache) {
-	if cache == nil {
-		return
-	}
-	cs := cache.Stats()
-	detached := cache.BackendDetached()
-	if cs.StoreErrors == 0 && !detached {
-		return
-	}
-	msg := fmt.Sprintf("palsweep: WARNING: persistent store degraded: %d backend errors", cs.StoreErrors)
-	if detached {
-		msg += "; store detached after repeated failures, later results were not persisted"
-	}
-	fmt.Fprintln(os.Stderr, msg)
-}
-
-// cacheSummary renders the sweep's cache effectiveness: simulations
-// actually executed versus results served from each cache tier, and how
-// many were persisted to the store. A warm-started sweep over an
-// unchanged grid reads "0 simulated" — the signal CI's store smoke test
-// checks for. Snapshot forks — cells resumed from a shared warmup
-// capture instead of simulated from scratch — are broken out
-// separately, so "simulated" always counts full from-scratch runs.
-func cacheSummary(pool *runner.Pool) string {
-	st := pool.Stats()
-	s := fmt.Sprintf("%d simulated", st.Executed-st.SnapshotForks)
-	if st.SnapshotForks > 0 {
-		s += fmt.Sprintf(", %d snapshot forks", st.SnapshotForks)
-	}
-	cache := pool.Cache()
-	if cache == nil {
-		return s
-	}
-	cs := cache.Stats()
-	s += fmt.Sprintf(", %d cache hits (%d memory, %d store)", cs.Hits+cs.StoreHits, cs.Hits, cs.StoreHits)
-	if cs.Stored > 0 {
-		s += fmt.Sprintf(", %d stored", cs.Stored)
-	}
-	if cs.StoreErrors > 0 {
-		s += fmt.Sprintf(", %d store errors", cs.StoreErrors)
-	}
-	return s
 }
 
 // expandScenarioArgs expands the -scenario flag's comma-separated tokens
@@ -688,7 +630,7 @@ func runScenarioSweep(ctx context.Context, pool *runner.Pool, snapCache *runner.
 				shard.index, shard.count, len(cells), total)
 		}
 		fmt.Fprintf(os.Stderr, "palsweep: %d scenarios, %s, %d workers, %.1fs total\n",
-			len(cells), cacheSummary(pool), pool.Workers(), time.Since(start).Seconds())
+			len(cells), runner.CacheSummary(pool), pool.Workers(), time.Since(start).Seconds())
 		// Engine summary: cells served from a cache tier contribute zeros
 		// (no engine stepped here), so the line describes this process's
 		// actual simulation work.

@@ -1,8 +1,6 @@
 package runner
 
 import (
-	"container/list"
-	"fmt"
 	"sync"
 
 	"repro/internal/sim"
@@ -34,54 +32,14 @@ type Backend interface {
 // the full run configuration.
 //
 // With a Backend attached (SetBackend), the cache becomes two-tiered:
-// the in-memory LRU is tier 1, the backend tier 2. A memory miss
-// consults the backend before computing, a successful computation is
-// written through, and single-flight spans both tiers — concurrent
-// callers for one key share a single backend lookup and at most one
-// computation.
+// the in-memory LRU is tier 1, the backend tier 2. The policy — memory,
+// in-flight, backend, compute, write-through, circuit breaker — is the
+// one SnapshotCache runs too (tier.go).
 //
 // Cached values are shared between callers and must be treated as
 // read-only; every consumer in this repository only reads results.
 type ResultCache struct {
-	mu       sync.Mutex
-	capacity int
-	ll       *list.List               // front = most recently used
-	entries  map[string]*list.Element // key -> element holding *cacheEntry
-	inflight map[string]*flight
-	backend  Backend
-	// hadBackend remembers that SetBackend attached a non-nil backend,
-	// so BackendDetached can distinguish "never had a store" from "the
-	// circuit breaker dropped it".
-	hadBackend bool
-
-	hits        int64 // memory-tier hits (including in-flight dedup)
-	misses      int64 // both tiers missed: the computation actually ran
-	storeHits   int64 // memory missed, backend hit
-	stored      int64 // results written through to the backend
-	storeErrors int64 // backend Get/Put failures (degraded, not fatal)
-	// errorStreak counts consecutive backend failures; at
-	// backendErrorLimit the backend is dropped for the cache's lifetime,
-	// so a hung or broken store costs at most a bounded number of I/O
-	// timeouts before the cache truly degrades to memory-only.
-	errorStreak int
-}
-
-// backendErrorLimit is the consecutive-failure count at which the
-// backend is detached. Any success resets the streak.
-const backendErrorLimit = 5
-
-// cacheEntry is the LRU list payload.
-type cacheEntry struct {
-	key string
-	res *sim.Result
-}
-
-// flight tracks one in-progress computation so duplicate keys wait for
-// it instead of recomputing.
-type flight struct {
-	done chan struct{}
-	res  *sim.Result
-	err  error
+	t *tiers[sim.Result]
 }
 
 // NewResultCache returns a cache holding at most capacity results.
@@ -90,34 +48,20 @@ func NewResultCache(capacity int) *ResultCache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	return &ResultCache{
-		capacity: capacity,
-		ll:       list.New(),
-		entries:  make(map[string]*list.Element),
-		inflight: make(map[string]*flight),
-	}
+	return &ResultCache{t: newTiers[sim.Result](capacity)}
 }
 
 // SetBackend attaches (or, with nil, detaches) the durable second tier.
 // Call it before handing the cache to a pool; swapping backends while
 // lookups are in flight routes each lookup through whichever backend it
 // observed first.
-func (c *ResultCache) SetBackend(b Backend) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.backend = b
-	c.hadBackend = b != nil
-}
+func (c *ResultCache) SetBackend(b Backend) { c.t.setBackend(b) }
 
 // BackendDetached reports whether a previously attached backend was
 // dropped by the consecutive-failure circuit breaker: the cache is now
 // memory-only and fresh results are no longer persisted. CLIs surface
 // this as an explicit degradation warning instead of failing sweeps.
-func (c *ResultCache) BackendDetached() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hadBackend && c.backend == nil
-}
+func (c *ResultCache) BackendDetached() bool { return c.t.detached() }
 
 // CacheStats is a snapshot of the cache's counters, split by tier.
 type CacheStats struct {
@@ -135,34 +79,22 @@ type CacheStats struct {
 
 // Stats returns the cache's counters.
 func (c *ResultCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	n, entries := c.t.counts()
 	return CacheStats{
-		Hits:        c.hits,
-		Misses:      c.misses,
-		StoreHits:   c.storeHits,
-		Stored:      c.stored,
-		StoreErrors: c.storeErrors,
-		Entries:     c.ll.Len(),
+		Hits:        n.hits,
+		Misses:      n.computed,
+		StoreHits:   n.storeHits,
+		Stored:      n.stored,
+		StoreErrors: n.storeErrors,
+		Entries:     entries,
 	}
 }
 
 // Len returns the number of cached results.
 func (c *ResultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+	_, entries := c.t.counts()
+	return entries
 }
-
-// tier names which layer satisfied a cache lookup; the pool translates
-// it into the probe's TaskOutcome and the per-tier hit counters.
-type tier uint8
-
-const (
-	tierComputed tier = iota // both tiers missed: compute ran
-	tierMemory               // memory LRU or another caller's in-flight computation
-	tierStore                // backend (persistent store) tier
-)
 
 // Do returns the cached result for key — from the memory tier, another
 // caller's in-flight lookup, or the backend tier — or runs compute
@@ -175,138 +107,12 @@ const (
 // Backend failures never fail the lookup: a broken store degrades the
 // cache to memory-only and is counted in Stats().StoreErrors.
 func (c *ResultCache) Do(key string, compute func() (*sim.Result, error)) (*sim.Result, bool, error) {
-	res, src, err := c.do(key, compute)
+	res, src, err := c.t.do(key, compute)
 	return res, src != tierComputed, err
 }
 
-// do is Do with the satisfying tier attributed, for the pool's probe.
-func (c *ResultCache) do(key string, compute func() (*sim.Result, error)) (*sim.Result, tier, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		res := el.Value.(*cacheEntry).res
-		c.mu.Unlock()
-		return res, tierMemory, nil
-	}
-	if f, ok := c.inflight[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		<-f.done
-		return f.res, tierMemory, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
-	backend := c.backend
-	c.mu.Unlock()
-
-	// The closing of f.done and the inflight cleanup must survive a
-	// panicking compute (the pool already converts panics to errors, but
-	// the cache should not rely on its callers for its own liveness).
-	// When compute never returned, waiters must see an error — not a
-	// (nil, nil) outcome they would dereference — while the panic itself
-	// keeps propagating to the computing caller.
-	returned := false
-	defer func() {
-		if !returned && f.err == nil {
-			f.err = fmt.Errorf("runner: cache computation for key %q panicked", key)
-		}
-		c.mu.Lock()
-		delete(c.inflight, key)
-		if f.err == nil && f.res != nil {
-			c.add(key, f.res)
-		}
-		c.mu.Unlock()
-		close(f.done)
-	}()
-
-	// Backend tier. The flight is already registered, so concurrent
-	// callers for this key wait on one disk read, never a stampede.
-	if backend != nil {
-		res, ok, err := backend.Get(key)
-		switch {
-		case err != nil:
-			c.backendFailed()
-		case ok:
-			c.backendWorked(&c.storeHits)
-			f.res = res
-			returned = true
-			return res, tierStore, nil
-		default:
-			c.backendWorked(nil) // clean miss: the backend is healthy
-		}
-	}
-
-	c.count(&c.misses)
-	f.res, f.err = compute()
-	returned = true
-	if f.err == nil && f.res != nil && backend != nil {
-		if err := backend.Put(key, f.res); err != nil {
-			c.backendFailed()
-		} else {
-			c.backendWorked(&c.stored)
-		}
-	}
-	return f.res, tierComputed, f.err
-}
-
-// count bumps one counter under the cache mutex.
-func (c *ResultCache) count(p *int64) {
-	c.mu.Lock()
-	*p++
-	c.mu.Unlock()
-}
-
-// backendFailed records one backend failure; backendErrorLimit
-// consecutive failures detach the backend so a hung store costs a
-// bounded number of timeouts before the cache is truly memory-only.
-func (c *ResultCache) backendFailed() {
-	c.mu.Lock()
-	c.storeErrors++
-	c.errorStreak++
-	if c.errorStreak >= backendErrorLimit {
-		c.backend = nil
-	}
-	c.mu.Unlock()
-}
-
-// backendWorked resets the failure streak, bumping counter when given.
-func (c *ResultCache) backendWorked(counter *int64) {
-	c.mu.Lock()
-	if counter != nil {
-		*counter++
-	}
-	c.errorStreak = 0
-	c.mu.Unlock()
-}
-
 // Get returns the cached result for key without computing anything.
-func (c *ResultCache) Get(key string) (*sim.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*cacheEntry).res, true
-	}
-	return nil, false
-}
-
-// add inserts a value, evicting the least-recently-used entry when the
-// cache is full. Caller holds c.mu.
-func (c *ResultCache) add(key string, res *sim.Result) {
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).res = res
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-	}
-}
+func (c *ResultCache) Get(key string) (*sim.Result, bool) { return c.t.get(key) }
 
 // Memo is a small generic single-flight memoization table for values
 // that are expensive to build but few in number (profiles, binned

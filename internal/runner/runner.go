@@ -16,6 +16,8 @@
 //     keys — a canonical hash of the full run configuration — with LRU
 //     eviction and single-flight deduplication, so identical
 //     configurations reached from different experiments run once.
+//     SnapshotCache (snapshot.go) does the same for warmup snapshots;
+//     both run the one two-tier policy in tier.go.
 //   - Sweep (sweep.go) accumulates parameter grids and streams the
 //     completed results back in grid order.
 //
@@ -336,7 +338,7 @@ func (p *Pool) exec(worker int, t Task) (*sim.Result, error) {
 		res, err = run()
 	} else {
 		var src tier
-		res, src, err = p.cache.do(t.Key, run)
+		res, src, err = p.cache.t.do(t.Key, run)
 		if src != tierComputed {
 			p.cacheHits.Add(1)
 		}

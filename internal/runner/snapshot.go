@@ -1,11 +1,6 @@
 package runner
 
-import (
-	"fmt"
-	"sync"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // SnapshotBackend is the persistent tier behind a SnapshotCache: a
 // durable, cross-process store of engine snapshots (internal/store is
@@ -27,28 +22,23 @@ type SnapshotBackend interface {
 // touches one snapshot per prefix group and groups are few; the
 // persistent tier is bounded by the store's GC like any other object.
 //
-// A backend failure never fails a caller: lookups degrade to
-// capturing, write-throughs are dropped, and both are counted in
-// Stats().StoreErrors.
+// The lookup policy is ResultCache's (tier.go): a backend failure never
+// fails a caller — lookups degrade to capturing, write-throughs are
+// dropped, both are counted in Stats().StoreErrors — and
+// backendErrorLimit consecutive failures detach the backend.
 type SnapshotCache struct {
-	mu       sync.Mutex
-	snaps    map[string]*sim.Snapshot
-	inflight map[string]*snapFlight
-	backend  SnapshotBackend
-
-	captured    int64
-	hits        int64
-	storeHits   int64
-	stored      int64
-	storeErrors int64
+	t *tiers[sim.Snapshot]
 }
 
-// snapFlight tracks one in-progress capture so duplicate prefix keys
-// wait for it instead of re-simulating the prefix.
-type snapFlight struct {
-	done chan struct{}
-	snap *sim.Snapshot
-	err  error
+// snapshotBackend adapts a SnapshotBackend to the tier interface.
+type snapshotBackend struct{ SnapshotBackend }
+
+func (b snapshotBackend) Get(key string) (*sim.Snapshot, bool, error) {
+	return b.GetSnapshot(key)
+}
+
+func (b snapshotBackend) Put(key string, snap *sim.Snapshot) error {
+	return b.PutSnapshot(key, snap)
 }
 
 // SnapshotCacheStats is a snapshot of the cache's counters.
@@ -65,23 +55,22 @@ type SnapshotCacheStats struct {
 // NewSnapshotCache returns a snapshot cache; backend may be nil for a
 // memory-only cache.
 func NewSnapshotCache(backend SnapshotBackend) *SnapshotCache {
-	return &SnapshotCache{
-		snaps:    make(map[string]*sim.Snapshot),
-		inflight: make(map[string]*snapFlight),
-		backend:  backend,
+	c := &SnapshotCache{t: newTiers[sim.Snapshot](0)}
+	if backend != nil {
+		c.t.setBackend(snapshotBackend{backend})
 	}
+	return c
 }
 
 // Stats returns the cache's counters.
 func (c *SnapshotCache) Stats() SnapshotCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	n, _ := c.t.counts()
 	return SnapshotCacheStats{
-		Captured:    c.captured,
-		Hits:        c.hits,
-		StoreHits:   c.storeHits,
-		Stored:      c.stored,
-		StoreErrors: c.storeErrors,
+		Captured:    n.computed,
+		Hits:        n.hits,
+		StoreHits:   n.storeHits,
+		Stored:      n.stored,
+		StoreErrors: n.storeErrors,
 	}
 }
 
@@ -93,69 +82,6 @@ func (c *SnapshotCache) Stats() SnapshotCacheStats {
 // surfaces as a snapshot fork. Errors from capture propagate to every
 // waiter but are never cached, so a failed capture can be retried.
 func (c *SnapshotCache) GetOrCapture(key string, capture func() (*sim.Snapshot, error)) (snap *sim.Snapshot, fromCache bool, err error) {
-	c.mu.Lock()
-	if s, ok := c.snaps[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return s, true, nil
-	}
-	if f, ok := c.inflight[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		<-f.done
-		return f.snap, true, f.err
-	}
-	f := &snapFlight{done: make(chan struct{})}
-	c.inflight[key] = f
-	backend := c.backend
-	c.mu.Unlock()
-
-	// Liveness must survive a panicking capture: waiters see an error,
-	// the panic keeps propagating to the capturing caller (the pool
-	// converts it to a task error there).
-	returned := false
-	defer func() {
-		if !returned && f.err == nil {
-			f.err = fmt.Errorf("runner: snapshot capture for key %q panicked", key)
-		}
-		c.mu.Lock()
-		delete(c.inflight, key)
-		if f.err == nil && f.snap != nil {
-			c.snaps[key] = f.snap
-		}
-		c.mu.Unlock()
-		close(f.done)
-	}()
-
-	if backend != nil {
-		s, ok, berr := backend.GetSnapshot(key)
-		switch {
-		case berr != nil:
-			c.count(&c.storeErrors)
-		case ok:
-			c.count(&c.storeHits)
-			f.snap = s
-			returned = true
-			return s, true, nil
-		}
-	}
-
-	c.count(&c.captured)
-	f.snap, f.err = capture()
-	returned = true
-	if f.err == nil && f.snap != nil && backend != nil {
-		if berr := backend.PutSnapshot(key, f.snap); berr != nil {
-			c.count(&c.storeErrors)
-		} else {
-			c.count(&c.stored)
-		}
-	}
-	return f.snap, false, f.err
-}
-
-// count bumps one counter under the cache mutex.
-func (c *SnapshotCache) count(p *int64) {
-	c.mu.Lock()
-	*p++
-	c.mu.Unlock()
+	snap, src, err := c.t.do(key, capture)
+	return snap, src != tierComputed, err
 }

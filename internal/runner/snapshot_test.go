@@ -154,3 +154,36 @@ func TestSnapshotCacheBackendTier(t *testing.T) {
 		t.Errorf("stats = %+v, want StoreHits 1, Stored 1, Captured 2, StoreErrors 2", st)
 	}
 }
+
+// TestSnapshotCacheCircuitBreaker: the snapshot tier runs the result
+// tier's circuit breaker. Over many more distinct keys than
+// backendErrorLimit, an always-failing backend is looked up at most
+// backendErrorLimit times — plus the one write-through already under
+// way when the breaker trips — and every capture still succeeds.
+func TestSnapshotCacheCircuitBreaker(t *testing.T) {
+	b := newFakeSnapBackend()
+	b.getErr = errors.New("mount wedged")
+	b.putErr = b.getErr
+	c := NewSnapshotCache(b)
+	const n = 3 * backendErrorLimit
+	for i := 0; i < n; i++ {
+		snap, fromCache, err := c.GetOrCapture(fmt.Sprintf("k%d", i), func() (*sim.Snapshot, error) {
+			return &sim.Snapshot{Rounds: i}, nil
+		})
+		if err != nil || fromCache || snap.Rounds != i {
+			t.Fatalf("key %d: snap=%v fromCache=%v err=%v, want a fresh capture", i, snap, fromCache, err)
+		}
+	}
+	if b.gets > backendErrorLimit {
+		t.Errorf("backend looked up %d times over %d keys, want at most %d", b.gets, n, backendErrorLimit)
+	}
+	if b.gets+b.puts > backendErrorLimit+1 {
+		t.Errorf("backend called %d times over %d keys, want at most %d", b.gets+b.puts, n, backendErrorLimit+1)
+	}
+	if !c.t.detached() {
+		t.Error("breaker did not detach the failing backend")
+	}
+	if st := c.Stats(); st.Captured != n || st.StoreErrors < backendErrorLimit {
+		t.Errorf("stats = %+v, want Captured %d, StoreErrors >= %d", st, n, backendErrorLimit)
+	}
+}
