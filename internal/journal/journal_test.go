@@ -53,14 +53,15 @@ func (b *fakeBackend) ObjectSize(key string) (int64, bool) {
 	return 0, false
 }
 
-// TestWriterReaderRoundTrip: a journal written through the Probe
-// interface loads back with its header, every task event in append
-// order, and the summary.
-func TestWriterReaderRoundTrip(t *testing.T) {
-	dir := t.TempDir()
+// writeSampleJournal writes the journal TestWriterReaderRoundTrip
+// reads back into dir: a sharded palsweep header, three task spans
+// (executed, store hit, error) and a summary. It returns the closed
+// writer with the spans and summary it recorded.
+func writeSampleJournal(tb testing.TB, dir string) (*Writer, []runner.TaskSpan, Summary) {
+	tb.Helper()
 	w, err := Create(dir, Header{Role: "palsweep", Shard: "1/3", Workers: 4})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	start := time.Now()
 	spans := []runner.TaskSpan{
@@ -79,8 +80,16 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		Cache:  &runner.CacheStats{Misses: 2, StoreHits: 1, Stored: 2},
 	}
 	if err := w.Close(sum); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return w, spans, sum
+}
+
+// TestWriterReaderRoundTrip: a journal written through the Probe
+// interface loads back with its header, every task event in append
+// order, and the summary.
+func TestWriterReaderRoundTrip(t *testing.T) {
+	w, spans, sum := writeSampleJournal(t, t.TempDir())
 
 	p, err := Load(w.Path())
 	if err != nil {
