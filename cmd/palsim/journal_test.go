@@ -154,7 +154,7 @@ func TestStoreGetFailureDegrades(t *testing.T) {
 		t.Fatalf("healthy cold run warned:\n%s", coldErr.String())
 	}
 
-	objects, err := filepath.Glob(filepath.Join(storeDir, "*", "objects", "*", "*.json"))
+	objects, err := filepath.Glob(filepath.Join(storeDir, "*", "objects", "*", "*.bin"))
 	if err != nil || len(objects) != 1 {
 		t.Fatalf("store objects %v (err %v), want exactly one", objects, err)
 	}

@@ -15,13 +15,12 @@ import (
 	"repro/internal/vprof"
 )
 
-// Archives written by the previous codec revisions (pal-result/v2 and
-// pal-snapshot/v1, which still carried the legacy util_series and
-// events arrays). The decoders must reject them with the version
-// mismatch, never misread them.
+// Archives written by the previous codec revisions (pal-result/v3 and
+// pal-snapshot/v2, the last JSON archives). The binary decoders must
+// reject them with the version mismatch, never misread them.
 const (
-	resultArchiveV2   = `{"format":"pal-result/v2","jobs":[{"id":0,"model":"resnet50","class":0,"arrival":0,"demand":2,"work":600,"remaining":0,"alloc":null,"attained":1320,"started":true,"first_run":0,"finish":660,"done":true,"preemptions":0,"migrations":0,"prev_alloc":null}],"measured":[0],"makespan":660,"utilization":0.5,"productive_utilization":0,"rounds":3,"util_series":[{"time":0,"in_use":2},{"time":300,"in_use":2}],"place_times":null,"events":[{"time":0,"job_id":0,"kind":2,"gpus":2}],"metrics":null,"decisions":null,"truncated":false,"unfinished":0}`
-	snapshotArchiveV1 = `{"format":"pal-snapshot/v1","snapshot":{"rounds":2,"now":600,"round_sec":300,"topology":{"NumNodes":1,"GPUsPerNode":4,"NodesPerRack":0},"next_arrival":1,"jobs":[{"id":0,"class":0,"arrival":0,"demand":2,"work":600,"remaining":100,"alloc":[0,1],"attained":1000,"started":true,"first_run":0,"finish":0,"prev_alloc":null}],"sched_name":"fifo","placer_name":"packed-sticky","sched_state":null,"placer_state":null,"util_series":[{"Time":0,"InUse":2},{"Time":300,"InUse":2}],"events":[{"Time":0,"JobID":0,"Kind":2,"GPUs":2}],"metrics_state":null,"decisions_state":null}}`
+	resultArchiveV3   = `{"format":"pal-result/v3","jobs":[{"id":0,"model":"resnet50","class":0,"arrival":0,"demand":2,"work":600,"remaining":0,"alloc":null,"attained":1320,"started":true,"first_run":0,"finish":660,"done":true,"preemptions":0,"migrations":0,"prev_alloc":null}],"measured":[0],"makespan":660,"utilization":0.5,"productive_utilization":0,"rounds":3,"place_times":null,"metrics":null,"decisions":null,"truncated":false,"unfinished":0}`
+	snapshotArchiveV2 = `{"format":"pal-snapshot/v2","snapshot":{"rounds":2,"now":600,"round_sec":300,"topology":{"NumNodes":1,"GPUsPerNode":4,"NodesPerRack":0},"next_arrival":1,"jobs":[{"id":0,"class":0,"arrival":0,"demand":2,"work":600,"remaining":100,"alloc":[0,1],"attained":1000,"started":true,"first_run":0,"finish":0,"prev_alloc":null}],"sched_name":"fifo","placer_name":"packed-sticky","sched_state":null,"placer_state":null,"metrics_state":null,"decisions_state":null}}`
 )
 
 // liveConfig is a small Synergy run with both sinks and an RNG-bearing
@@ -92,11 +91,11 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 		f.Add(enc)
 	}
-	if _, err := DecodeResult(strings.NewReader(resultArchiveV2)); err == nil ||
+	if _, err := DecodeResult(strings.NewReader(resultArchiveV3)); err == nil ||
 		!strings.Contains(err.Error(), "codec version mismatch") {
-		f.Fatalf("v2 result archive: err = %v, want a version mismatch", err)
+		f.Fatalf("JSON v3 result archive: err = %v, want a version mismatch", err)
 	}
-	f.Add([]byte(resultArchiveV2))
+	f.Add([]byte(resultArchiveV3))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := DecodeResult(bytes.NewReader(data))
@@ -139,11 +138,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		f.Add(enc)
 	}
-	if _, err := DecodeSnapshot(strings.NewReader(snapshotArchiveV1)); err == nil ||
+	if _, err := DecodeSnapshot(strings.NewReader(snapshotArchiveV2)); err == nil ||
 		!strings.Contains(err.Error(), "codec version mismatch") {
-		f.Fatalf("v1 snapshot archive: err = %v, want a version mismatch", err)
+		f.Fatalf("JSON v2 snapshot archive: err = %v, want a version mismatch", err)
 	}
-	f.Add([]byte(snapshotArchiveV1))
+	f.Add([]byte(snapshotArchiveV2))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(bytes.NewReader(data))

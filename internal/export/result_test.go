@@ -2,6 +2,7 @@ package export
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -151,56 +152,98 @@ func (opaqueSink) ObserveRounds(sim.RoundObservation) {}
 func (opaqueSink) FinishRun(*sim.Result)              {}
 
 // TestResultCodecRejectsWrongVersion: an archive from any other codec
-// revision must be refused with a version message, not misread.
+// revision must be refused with a version message, not misread — the
+// JSON archives of earlier revisions included.
 func TestResultCodecRejectsWrongVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeResult(&buf, sampleResult()); err != nil {
-		t.Fatal(err)
+	enc := encodeResult(t, sampleResult())
+	tampered := bytes.Replace(enc,
+		[]byte("pal-result/"+ResultFormatVersion+"\n"),
+		[]byte("pal-result/v999\n"), 1)
+	if bytes.Equal(tampered, enc) {
+		t.Fatal("tampering failed to find the format tag")
 	}
-	tampered := bytes.Replace(buf.Bytes(),
-		[]byte(`"format": "pal-result/`+ResultFormatVersion+`"`),
-		[]byte(`"format": "pal-result/v999"`), 1)
-	if bytes.Equal(tampered, buf.Bytes()) {
-		t.Fatal("tampering failed to find the format field")
-	}
-	if _, err := DecodeResult(bytes.NewReader(tampered)); err == nil ||
-		!strings.Contains(err.Error(), "codec version mismatch") {
-		t.Fatalf("err = %v, want codec version mismatch", err)
+	for name, data := range map[string][]byte{
+		"tampered tag":         tampered,
+		"json v3":              []byte(resultArchiveV3),
+		"empty":                nil,
+		"tag only, no newline": []byte(resultFormat),
+	} {
+		if _, err := DecodeResult(bytes.NewReader(data)); err == nil ||
+			!strings.Contains(err.Error(), "codec version mismatch") {
+			t.Errorf("%s: err = %v, want codec version mismatch", name, err)
+		}
 	}
 }
 
-// TestResultCodecRejectsUnknownFields: extra fields (a future codec
-// that forgot to bump, or a corrupted archive) fail loudly.
-func TestResultCodecRejectsUnknownFields(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeResult(&buf, sampleResult()); err != nil {
-		t.Fatal(err)
+// TestResultCodecRejectsTrailingBytes: bytes after the body (a future
+// codec that forgot to bump, or a corrupted archive) fail loudly — the
+// binary counterpart of rejecting unknown fields.
+func TestResultCodecRejectsTrailingBytes(t *testing.T) {
+	enc := encodeResult(t, sampleResult())
+	for _, extra := range [][]byte{{0}, {1, 2, 3}} {
+		tampered := append(bytes.Clone(enc), extra...)
+		if _, err := DecodeResult(bytes.NewReader(tampered)); err == nil ||
+			!strings.Contains(err.Error(), "trailing bytes") {
+			t.Fatalf("+%d bytes: err = %v, want trailing-bytes error", len(extra), err)
+		}
 	}
-	tampered := bytes.Replace(buf.Bytes(),
-		[]byte(`"rounds":`), []byte(`"bogus_field": 1, "rounds":`), 1)
-	if _, err := DecodeResult(bytes.NewReader(tampered)); err == nil {
-		t.Fatal("unknown field accepted")
+}
+
+// TestResultCodecRejectsTruncation: every proper prefix of an archive
+// is rejected, never decoded into a partial result.
+func TestResultCodecRejectsTruncation(t *testing.T) {
+	res := sampleResult()
+	res.Metrics = metrics.NewArchivedSink(&metrics.Payload{
+		Name: "trunc", Series: []metrics.SeriesData{{Name: "s", Rounds: []int64{0}, Values: []float64{1}}},
+	})
+	enc := encodeResult(t, res)
+	for n := range len(enc) {
+		if _, err := DecodeResult(bytes.NewReader(enc[:n])); err == nil {
+			t.Fatalf("archive truncated to %d of %d bytes decoded", n, len(enc))
+		}
 	}
 }
 
 // TestResultCodecRejectsBadMeasuredIndex: a measured index outside Jobs
-// is corruption, not a job.
+// is corruption, not a job. The index byte is located by encoding two
+// results that differ only in which job is measured.
 func TestResultCodecRejectsBadMeasuredIndex(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeResult(&buf, sampleResult()); err != nil {
-		t.Fatal(err)
+	res := sampleResult()
+	first := encodeResult(t, res)
+	res.Measured = []*sim.Job{res.Jobs[2]}
+	second := encodeResult(t, res)
+	if len(first) != len(second) {
+		t.Fatal("measured index changed the archive length")
 	}
-	tampered := bytes.Replace(buf.Bytes(),
-		[]byte(`"measured": [
-  0
- ]`), []byte(`"measured": [
-  7
- ]`), 1)
-	if bytes.Equal(tampered, buf.Bytes()) {
-		t.Fatal("tampering failed to find the measured field")
+	pos := -1
+	for i := range first {
+		if first[i] != second[i] {
+			if pos >= 0 {
+				t.Fatal("more than one byte differs")
+			}
+			pos = i
+		}
 	}
+	if pos < 0 || first[pos] != 0 || second[pos] != 2 {
+		t.Fatalf("measured index byte not found (pos %d)", pos)
+	}
+	tampered := bytes.Clone(first)
+	tampered[pos] = 7
 	if _, err := DecodeResult(bytes.NewReader(tampered)); err == nil ||
 		!strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("err = %v, want out-of-range error", err)
+	}
+}
+
+// TestResultCodecRejectsOversizedLength: a length prefix claiming more
+// elements than the archive has bytes left is rejected before any
+// allocation, so a corrupt file cannot force a huge one.
+func TestResultCodecRejectsOversizedLength(t *testing.T) {
+	for _, n := range []uint64{1 << 20, 1 << 40, 1<<64 - 1} {
+		data := binary.AppendUvarint([]byte(resultFormat+"\n"), n)
+		if _, err := DecodeResult(bytes.NewReader(data)); err == nil ||
+			!strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("jobs length %d: err = %v, want a length error", n, err)
+		}
 	}
 }

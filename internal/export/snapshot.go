@@ -1,21 +1,20 @@
 package export
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"repro/internal/sim"
 )
 
-// Canonical snapshot codec: the deterministic JSON round-trip of a
-// *sim.Snapshot the artifact store persists beside results. Same
-// contract as the result codec: encoding the same snapshot twice
-// produces identical bytes, every field round-trips exactly (floats use
-// Go's shortest-round-trip encoding), nil and empty slices are
-// preserved as written, and a format tag names the codec revision so a
-// snapshot written by a different codec fails loudly.
+// Canonical snapshot codec: the deterministic binary round-trip of a
+// *sim.Snapshot the artifact store persists beside results, in the
+// layout codec.go defines. Same contract as the result codec: encoding
+// the same snapshot twice produces identical bytes, every field
+// round-trips exactly, nil and empty slices stay distinct, the policy
+// and sink state blobs are carried as raw bytes, and a format tag names
+// the codec revision so a snapshot written by a different codec fails
+// loudly.
 //
 // Like ResultFormatVersion, SnapshotFormatVersion is part of the
 // store's on-disk layout (the snapshot sub-tree's path component) and
@@ -26,58 +25,68 @@ import (
 // SnapshotFormatVersion names the snapshot-codec revision.
 // v2 dropped the legacy util_series and events arrays from the
 // snapshot body (the sinks' marshaled state carries the prefix's
-// observations).
-const SnapshotFormatVersion = "v2"
+// observations); v3 replaced the indented JSON archive with the binary
+// layout of codec.go.
+const SnapshotFormatVersion = "v3"
 
 // snapshotFormat is the full format tag embedded in every archive.
 const snapshotFormat = "pal-snapshot/" + SnapshotFormatVersion
 
-// snapshotArchive wraps a snapshot with the codec's format tag. The
-// snapshot itself is already plain, JSON-tagged data (sim.Snapshot is
-// designed as an archival type), so the codec adds only versioning.
-type snapshotArchive struct {
-	Format   string        `json:"format"`
-	Snapshot *sim.Snapshot `json:"snapshot"`
-}
-
-// EncodeSnapshot writes snap as a deterministic, versioned JSON archive.
+// EncodeSnapshot writes snap as a deterministic, versioned binary
+// archive.
 func EncodeSnapshot(w io.Writer, snap *sim.Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("export: nil snapshot")
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(&snapshotArchive{Format: snapshotFormat, Snapshot: snap}); err != nil {
+	e := newEncoder(snapshotFormat)
+	defer e.done()
+	e.bool(snap.Completed)
+	e.int(snap.Rounds)
+	e.float(snap.Now)
+	e.float(snap.RoundSec)
+	e.int(snap.Topology.NumNodes)
+	e.int(snap.Topology.GPUsPerNode)
+	e.int(snap.Topology.NodesPerRack)
+	e.int(snap.NextArrival)
+	putSlice(e, snap.Jobs, putJob)
+	e.str(snap.SchedName)
+	e.str(snap.PlacerName)
+	e.blob(snap.SchedState)
+	e.blob(snap.PlacerState)
+	e.blob(snap.MetricsState)
+	e.blob(snap.DecisionsState)
+	if _, err := w.Write(e.buf); err != nil {
 		return fmt.Errorf("export: encode snapshot: %w", err)
 	}
 	return nil
 }
 
-// DecodeSnapshot reads an archive written by EncodeSnapshot. Unknown
-// fields and any format revision other than the current one are
-// rejected.
+// DecodeSnapshot reads an archive written by EncodeSnapshot. Any
+// format revision other than the current one, a truncated or corrupt
+// body and trailing bytes are rejected.
 func DecodeSnapshot(r io.Reader) (*sim.Snapshot, error) {
-	data, err := io.ReadAll(r)
+	d, err := readArchive(r, snapshotFormat, "snapshot")
 	if err != nil {
-		return nil, fmt.Errorf("export: read snapshot archive: %w", err)
+		return nil, err
 	}
-	var probe struct {
-		Format string `json:"format"`
+	snap := &sim.Snapshot{}
+	snap.Completed = d.bool()
+	snap.Rounds = d.int()
+	snap.Now = d.float()
+	snap.RoundSec = d.float()
+	snap.Topology.NumNodes = d.int()
+	snap.Topology.GPUsPerNode = d.int()
+	snap.Topology.NodesPerRack = d.int()
+	snap.NextArrival = d.int()
+	snap.Jobs = getSlice(d, getJob)
+	snap.SchedName = d.str()
+	snap.PlacerName = d.str()
+	snap.SchedState = d.blob()
+	snap.PlacerState = d.blob()
+	snap.MetricsState = d.blob()
+	snap.DecisionsState = d.blob()
+	if err := d.finish("snapshot"); err != nil {
+		return nil, err
 	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("export: decode snapshot archive: %w", err)
-	}
-	if probe.Format != snapshotFormat {
-		return nil, fmt.Errorf("export: snapshot archive format %q, want %q (codec version mismatch)", probe.Format, snapshotFormat)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var arch snapshotArchive
-	if err := dec.Decode(&arch); err != nil {
-		return nil, fmt.Errorf("export: decode snapshot archive: %w", err)
-	}
-	if arch.Snapshot == nil {
-		return nil, fmt.Errorf("export: snapshot archive has no snapshot body")
-	}
-	return arch.Snapshot, nil
+	return snap, nil
 }

@@ -20,6 +20,8 @@ import (
 	"math"
 
 	"repro/internal/cluster"
+	"repro/internal/trace"
+	"repro/internal/vprof"
 )
 
 // SnapshotState is the capability interface snapshot-aware components
@@ -39,52 +41,101 @@ type SnapshotState interface {
 // trace's prefix genuinely matches the captured one.
 type JobState struct {
 	// Spec echo (validation only; the resumed run keeps its own specs).
-	ID      int     `json:"id"`
-	Model   string  `json:"model,omitempty"`
-	Class   int     `json:"class"`
-	Arrival float64 `json:"arrival"`
-	Demand  int     `json:"demand"`
-	Work    float64 `json:"work"`
+	ID      int
+	Model   string
+	Class   int
+	Arrival float64
+	Demand  int
+	Work    float64
 
 	// Mutable engine state (sim.Job's exported fields).
-	Remaining   float64 `json:"remaining"`
-	Alloc       []int   `json:"alloc"`
-	Attained    float64 `json:"attained"`
-	Started     bool    `json:"started,omitempty"`
-	FirstRun    float64 `json:"first_run"`
-	Finish      float64 `json:"finish"`
-	Done        bool    `json:"done,omitempty"`
-	Preemptions int     `json:"preemptions,omitempty"`
-	Migrations  int     `json:"migrations,omitempty"`
-	PrevAlloc   []int   `json:"prev_alloc"`
+	Remaining   float64
+	Alloc       []int
+	Attained    float64
+	Started     bool
+	FirstRun    float64
+	Finish      float64
+	Done        bool
+	Preemptions int
+	Migrations  int
+	PrevAlloc   []int
+}
+
+// State returns the job's archival form: the spec echo plus every
+// exported mutable field. Snapshots and the result codec in
+// internal/export share this one per-job layout.
+func (j *Job) State() JobState {
+	return JobState{
+		ID:          j.Spec.ID,
+		Model:       j.Spec.Model,
+		Class:       int(j.Spec.Class),
+		Arrival:     j.Spec.Arrival,
+		Demand:      j.Spec.Demand,
+		Work:        j.Spec.Work,
+		Remaining:   j.Remaining,
+		Alloc:       gpusToInts(j.Alloc),
+		Attained:    j.Attained,
+		Started:     j.Started,
+		FirstRun:    j.FirstRun,
+		Finish:      j.Finish,
+		Done:        j.Done,
+		Preemptions: j.Preemptions,
+		Migrations:  j.Migrations,
+		PrevAlloc:   gpusToInts(j.PrevAlloc),
+	}
+}
+
+// Job is the inverse of Job.State: the job js describes, with the
+// engine's round-local scratch marks clear.
+func (js *JobState) Job() Job {
+	return Job{
+		Spec: trace.JobSpec{
+			ID:      js.ID,
+			Model:   js.Model,
+			Class:   vprof.Class(js.Class),
+			Arrival: js.Arrival,
+			Demand:  js.Demand,
+			Work:    js.Work,
+		},
+		Remaining:   js.Remaining,
+		Alloc:       intsToGPUs(js.Alloc),
+		Attained:    js.Attained,
+		Started:     js.Started,
+		FirstRun:    js.FirstRun,
+		Finish:      js.Finish,
+		Done:        js.Done,
+		Preemptions: js.Preemptions,
+		Migrations:  js.Migrations,
+		PrevAlloc:   intsToGPUs(js.PrevAlloc),
+	}
 }
 
 // Snapshot is the complete engine state at a horizon. All fields are
-// plain data (JSON-friendly), ready for the canonical codec in
-// internal/export and the persistent tier in internal/store.
+// plain data, ready for the canonical binary codec in internal/export
+// and the persistent tier in internal/store.
 type Snapshot struct {
 	// Completed marks a sentinel snapshot recording that the prefix run
 	// finished (or truncated) before the horizon, so there is no state
 	// to fork from and cells must run from scratch. Every other field is
 	// zero; Resume rejects it.
-	Completed bool `json:"completed,omitempty"`
+	Completed bool
 
 	// Rounds and Now are the captured clocks: the round counter at the
 	// horizon and the engine clock's exact accumulated-float bits, so
 	// the resumed round grid continues bit-identically.
-	Rounds   int     `json:"rounds"`
-	Now      float64 `json:"now"`
-	RoundSec float64 `json:"round_sec"`
+	Rounds   int
+	Now      float64
+	RoundSec float64
 
 	// Topology pins the cluster shape the allocations refer to.
-	Topology cluster.Topology `json:"topology"`
+	Topology cluster.Topology
 
 	// NextArrival is the index of the first not-yet-arrived trace job;
 	// Jobs holds the mutable state of the arrived prefix Jobs[0:NextArrival]
 	// (later jobs are still at their initial state, which Resume
 	// reconstructs from the target trace).
-	NextArrival int        `json:"next_arrival"`
-	Jobs        []JobState `json:"jobs"`
+	NextArrival int
+	Jobs        []JobState
 
 	// SchedName/PlacerName are the prefix policies' registry names;
 	// SchedState/PlacerState their marshaled SnapshotState (nil for
@@ -92,10 +143,10 @@ type Snapshot struct {
 	// the resumed component's name matches — a forked cell switching
 	// policies at the horizon starts its new policy fresh, exactly as
 	// the fork semantics define.
-	SchedName   string `json:"sched_name"`
-	PlacerName  string `json:"placer_name"`
-	SchedState  []byte `json:"sched_state"`
-	PlacerState []byte `json:"placer_state"`
+	SchedName   string
+	PlacerName  string
+	SchedState  []byte
+	PlacerState []byte
 
 	// MetricsState/DecisionsState are the attached sinks' marshaled
 	// mid-run state (nil when no sink was attached at capture): the
@@ -103,8 +154,8 @@ type Snapshot struct {
 	// carries across the horizon. (PlaceTimes is deliberately absent:
 	// it is wall-clock observability data outside byte-identity, and a
 	// forked result's PlaceTimes cover only post-fork placements.)
-	MetricsState   []byte `json:"metrics_state"`
-	DecisionsState []byte `json:"decisions_state"`
+	MetricsState   []byte
+	DecisionsState []byte
 }
 
 // Capture runs cfg until the top of round haltRounds and freezes the
@@ -153,24 +204,7 @@ func (e *engine) snapshot() (*Snapshot, error) {
 	}
 	s.Jobs = make([]JobState, e.nextArrival)
 	for i, j := range e.jobs[:e.nextArrival] {
-		s.Jobs[i] = JobState{
-			ID:          j.Spec.ID,
-			Model:       j.Spec.Model,
-			Class:       int(j.Spec.Class),
-			Arrival:     j.Spec.Arrival,
-			Demand:      j.Spec.Demand,
-			Work:        j.Spec.Work,
-			Remaining:   j.Remaining,
-			Alloc:       gpusToInts(j.Alloc),
-			Attained:    j.Attained,
-			Started:     j.Started,
-			FirstRun:    j.FirstRun,
-			Finish:      j.Finish,
-			Done:        j.Done,
-			Preemptions: j.Preemptions,
-			Migrations:  j.Migrations,
-			PrevAlloc:   gpusToInts(j.PrevAlloc),
-		}
+		s.Jobs[i] = j.State()
 	}
 	var err error
 	if ss, ok := e.cfg.Sched.(SnapshotState); ok {
@@ -254,16 +288,7 @@ func (e *engine) restore(s *Snapshot) error {
 			return fmt.Errorf("sim: trace prefix mismatch at job %d: snapshot captured id=%d model=%q class=%d arrival=%g demand=%d work=%g",
 				i, js.ID, js.Model, js.Class, js.Arrival, js.Demand, js.Work)
 		}
-		j.Remaining = js.Remaining
-		j.Alloc = intsToGPUs(js.Alloc)
-		j.Attained = js.Attained
-		j.Started = js.Started
-		j.FirstRun = js.FirstRun
-		j.Finish = js.Finish
-		j.Done = js.Done
-		j.Preemptions = js.Preemptions
-		j.Migrations = js.Migrations
-		j.PrevAlloc = intsToGPUs(js.PrevAlloc)
+		*j = js.Job()
 		if j.Alloc != nil {
 			if j.Done {
 				return fmt.Errorf("sim: snapshot job %d is done but still allocated", js.ID)

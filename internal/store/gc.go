@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -215,17 +216,24 @@ func (s *Store) sweepOrphanedVersions() GCReport {
 		if !e.IsDir() || !ok || n >= current {
 			continue
 		}
-		old := filepath.Join(s.root, e.Name())
-		filepath.Walk(old, func(_ string, info os.FileInfo, err error) error {
-			if err == nil && info.Mode().IsRegular() && filepath.Ext(info.Name()) == objectExt {
-				report.Removed++
-				report.FreedBytes += info.Size()
-			}
-			return nil
-		})
-		os.RemoveAll(old)
+		removeOrphanedTree(filepath.Join(s.root, e.Name()), &report)
 	}
 	return report
+}
+
+// removeOrphanedTree deletes a superseded version tree, counting the
+// objects it held into report. Every non-temporary file under objects/
+// counts, whatever its suffix: trees written before the binary codec
+// hold ".json" objects.
+func removeOrphanedTree(old string, report *GCReport) {
+	filepath.Walk(filepath.Join(old, "objects"), func(_ string, info os.FileInfo, err error) error {
+		if err == nil && info.Mode().IsRegular() && !strings.HasPrefix(info.Name(), ".") {
+			report.Removed++
+			report.FreedBytes += info.Size()
+		}
+		return nil
+	})
+	os.RemoveAll(old)
 }
 
 // versionNum parses a codec-version directory name ("v1", "v12", ...).

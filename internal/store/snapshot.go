@@ -2,7 +2,7 @@ package store
 
 // Engine snapshots persist beside results in a sibling versioned tree:
 //
-//	<root>/snap-<snapshot codec version>/objects/<k[:2]>/<key>.json
+//	<root>/snap-<snapshot codec version>/objects/<k[:2]>/<key>.bin
 //	<root>/snap-<snapshot codec version>/index.jsonl
 //	<root>/snap-<snapshot codec version>/lock
 //
@@ -156,15 +156,7 @@ func (s *Store) sweepOrphanedSnapVersions() GCReport {
 		if !ok || n >= current {
 			continue
 		}
-		old := filepath.Join(s.root, e.Name())
-		filepath.Walk(old, func(_ string, info os.FileInfo, err error) error {
-			if err == nil && info.Mode().IsRegular() && filepath.Ext(info.Name()) == objectExt {
-				report.Removed++
-				report.FreedBytes += info.Size()
-			}
-			return nil
-		})
-		os.RemoveAll(old)
+		removeOrphanedTree(filepath.Join(s.root, e.Name()), &report)
 	}
 	return report
 }

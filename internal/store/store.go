@@ -9,7 +9,7 @@
 //
 // On-disk layout, rooted at the directory handed to Open:
 //
-//	<root>/<codec-version>/objects/<k[:2]>/<key>.json   one archived result
+//	<root>/<codec-version>/objects/<k[:2]>/<key>.bin    one archived result
 //	<root>/<codec-version>/index.jsonl                  append-only metadata
 //	<root>/<codec-version>/lock                         advisory-lock target
 //
@@ -41,8 +41,9 @@ import (
 	"repro/internal/sim"
 )
 
-// objectExt is the filename suffix of archived results.
-const objectExt = ".json"
+// objectExt is the filename suffix of archived objects (binary
+// export archives).
+const objectExt = ".bin"
 
 // Store is a handle on one on-disk result store. It is safe for
 // concurrent use by multiple goroutines and — via advisory file locking
@@ -291,15 +292,14 @@ func (s *Store) load(key string, touch bool) (*sim.Result, bool, error) {
 	if !validKey(key) {
 		return nil, false, fmt.Errorf("store: invalid key %q (want 64 hex digits)", key)
 	}
-	f, err := os.Open(s.objectPath(key))
+	data, err := os.ReadFile(s.objectPath(key))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, false, nil
 		}
 		return nil, false, fmt.Errorf("store: %w", err)
 	}
-	defer f.Close()
-	res, err := export.DecodeResult(f)
+	res, err := export.DecodeResult(bytes.NewReader(data))
 	if err != nil {
 		return nil, false, fmt.Errorf("store: object %s: %w", key, err)
 	}

@@ -342,13 +342,21 @@ func TestStoreGCRemovesOrphanedVersions(t *testing.T) {
 	if err := st.Put(key, res); err != nil {
 		t.Fatal(err)
 	}
-	// Fabricate an old codec tree and an unrelated user directory.
+	// Fabricate an old codec tree — one object from the JSON-archive
+	// era, one binary, and a stray temp file that is not an object —
+	// and an unrelated user directory.
 	oldObj := filepath.Join(dir, "v0", "objects", "ab")
 	if err := os.MkdirAll(oldObj, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(oldObj, key64(1)+".json"), []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
+	for name, body := range map[string]string{
+		key64(1) + ".json":   "{}",
+		key64(2) + objectExt: "pal-result/v0\n",
+		".put-1.tmp":         "partial",
+	} {
+		if err := os.WriteFile(filepath.Join(oldObj, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	keep := filepath.Join(dir, "notes")
 	if err := os.MkdirAll(keep, 0o755); err != nil {
@@ -376,8 +384,8 @@ func TestStoreGCRemovesOrphanedVersions(t *testing.T) {
 	if !st.Has(key) {
 		t.Error("current-version object was removed")
 	}
-	if rep.Removed != 1 {
-		t.Errorf("report.Removed = %d, want 1 orphaned object", rep.Removed)
+	if rep.Removed != 2 {
+		t.Errorf("report.Removed = %d, want 2 orphaned objects", rep.Removed)
 	}
 }
 
