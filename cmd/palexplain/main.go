@@ -25,7 +25,7 @@
 //
 // A -scenario run force-enables the spec's decisions block (with a
 // re-Normalize, so the run cache-keys exactly like a file that enabled
-// it). -in tokens may be trace files, directories, globs, or result-store
+// it) and explains every cell of a grid spec. -in tokens may be trace files, directories, globs, or result-store
 // directories; stores are read with Peek, so explaining never perturbs
 // GC recency. Formats and -out behave exactly like palsweep's.
 package main
@@ -34,14 +34,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/decision"
 	"repro/internal/experiments"
 	"repro/internal/export"
-	"repro/internal/scenario"
-	"repro/internal/store"
 )
 
 func main() {
@@ -64,9 +62,13 @@ func main() {
 
 	var traces []*decision.Trace
 	if *scenPath != "" {
-		traces = []*decision.Trace{runScenario(*scenPath)}
+		traces = runScenario(*scenPath)
 	} else {
-		traces = loadTraces(*in)
+		arch, err := cli.ReadArchive("palexplain", *in, false, true)
+		if err != nil {
+			fatal(err)
+		}
+		traces = arch.Traces
 		if len(traces) == 0 {
 			fatal(fmt.Errorf("no decision traces found in %q (archive them with palsim/palsweep -metrics on a spec with decisions enabled, or palsweep -store)", *in))
 		}
@@ -85,102 +87,26 @@ func main() {
 	}
 }
 
-// runScenario executes a spec live with decision recording on and
-// returns its trace.
-func runScenario(path string) *decision.Trace {
-	spec, err := scenario.LoadFile(path)
+// runScenario runs every cell of a spec live, decision recording on,
+// and returns their traces.
+func runScenario(path string) []*decision.Trace {
+	cells, err := cli.LoadCells([]string{path}, false, true)
 	if err != nil {
 		fatal(err)
 	}
-	// Force-enable like palsim's -metrics: re-Normalize so the spec
-	// canonicalizes — and cache-keys — exactly like a file that asked for
-	// decisions itself.
-	spec.Decisions.Enabled = true
-	spec.Normalize()
-	built, err := spec.Build()
-	if err != nil {
-		fatal(err)
-	}
-	res, err := built.Run()
-	if err != nil {
-		fatal(err)
-	}
-	tr := decision.FromResult(res)
-	if tr == nil {
-		fatal(fmt.Errorf("scenario %s: run produced no decision trace", spec.Name))
-	}
-	t := *tr
-	t.Key = built.Key()
-	return &t
-}
-
-// loadTraces resolves -in tokens to traces: result-store directories
-// contribute every stored result's embedded trace (Peek — explaining
-// must not refresh GC recency), other tokens expand to *.decisions.json
-// files, directories or globs.
-func loadTraces(arg string) []*decision.Trace {
 	var traces []*decision.Trace
-	var misses []string
-	for _, tok := range strings.Split(arg, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		if store.IsStoreRoot(tok) {
-			st, err := store.Open(tok)
-			if err != nil {
-				fatal(err)
-			}
-			keys, err := st.Keys()
-			if err != nil {
-				fatal(err)
-			}
-			skipped := 0
-			for _, key := range keys {
-				res, ok, err := st.Peek(key)
-				if err != nil {
-					fatal(err)
-				}
-				if !ok {
-					continue // raced with a concurrent GC
-				}
-				tr := decision.FromResult(res)
-				if tr == nil {
-					skipped++
-					continue
-				}
-				cp := *tr
-				if cp.Key == "" {
-					cp.Key = key
-				}
-				if cp.Name == "" {
-					cp.Name = key[:12]
-				}
-				traces = append(traces, &cp)
-			}
-			if skipped > 0 {
-				fmt.Fprintf(os.Stderr, "palexplain: store %s: skipped %d results without decision traces (re-run them with decisions enabled to explain)\n", tok, skipped)
-			}
-			continue
-		}
-		paths, err := export.ExpandFileArgs(tok, export.DecisionsExt)
+	for _, c := range cells {
+		res, err := c.Built.Run()
 		if err != nil {
-			misses = append(misses, err.Error())
-			continue
+			fatal(err)
 		}
-		for _, path := range paths {
-			t, err := decision.LoadFile(path)
-			if err != nil {
-				fatal(err)
-			}
-			if t.Name == "" {
-				t.Name = strings.TrimSuffix(filepath.Base(path), export.DecisionsExt)
-			}
-			traces = append(traces, t)
+		tr := decision.FromResult(res)
+		if tr == nil {
+			fatal(fmt.Errorf("scenario %s: run produced no decision trace", c.Built.Spec.Name))
 		}
-	}
-	if len(misses) > 0 {
-		fatal(fmt.Errorf("-in: %s", strings.Join(misses, "; ")))
+		t := *tr
+		t.Key = c.Built.Key()
+		traces = append(traces, &t)
 	}
 	return traces
 }

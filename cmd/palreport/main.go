@@ -39,7 +39,9 @@
 // erroring, so a store populated by only some shards of a sharded sweep
 // (palsweep -shard i/n) reports its gaps explicitly rather than
 // silently dropping them. Presence is judged against the stored result
-// keys and loaded payload keys.
+// keys and loaded payload keys, under any key a palsweep invocation can
+// store the cell under: the spec as written, or with -metrics and/or
+// -decisions force-enabling its recording blocks.
 //
 // -journal points at a directory of *.journal.jsonl files (what
 // `palsweep -journal` and `palsim -journal` append, one per process)
@@ -66,16 +68,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
+	"slices"
 
+	"repro/internal/cli"
 	"repro/internal/decision"
 	"repro/internal/experiments"
 	"repro/internal/export"
 	"repro/internal/metrics"
-	"repro/internal/scenario"
 	"repro/internal/stats"
-	"repro/internal/store"
 )
 
 // cdfPercentiles are the fixed percentiles of the side-by-side CDF table.
@@ -108,13 +108,17 @@ func main() {
 		}
 	}
 
-	payloads := loadPayloads(*in)
+	arch, err := cli.ReadArchive("palreport", *in, true, *decisions)
+	if err != nil {
+		fatal(err)
+	}
+	payloads := arch.Payloads
 	if *gridFlag != "" {
 		cells, err := expandGridCells(*gridFlag)
 		if err != nil {
 			fatal(err)
 		}
-		have := storeKeys(*in)
+		have := arch.Keys
 		for _, p := range payloads {
 			if p.Key != "" {
 				have[p.Key] = true
@@ -163,81 +167,13 @@ func main() {
 		}
 	}
 	if *decisions {
-		traces := loadTraces(*in)
-		if len(traces) == 0 {
+		if len(arch.Traces) == 0 {
 			fatal(fmt.Errorf("-decisions: no decision traces found in %q (enable the spec's decisions block and re-archive)", *in))
 		}
-		if err := export.Emit(decisionsTable(traces), *format, *outDir); err != nil {
+		if err := export.Emit(decisionsTable(arch.Traces), *format, *outDir); err != nil {
 			fatal(err)
 		}
 	}
-}
-
-// loadTraces resolves the -in argument to decision traces, mirroring
-// loadPayloads: store directories contribute every stored result's
-// embedded trace (Peek, not Get — reporting must not refresh GC
-// recency), other tokens expand to *.decisions.json files.
-func loadTraces(arg string) []*decision.Trace {
-	var traces []*decision.Trace
-	for _, tok := range strings.Split(arg, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		if store.IsStoreRoot(tok) {
-			st, err := store.Open(tok)
-			if err != nil {
-				fatal(err)
-			}
-			keys, err := st.Keys()
-			if err != nil {
-				fatal(err)
-			}
-			for _, key := range keys {
-				res, ok, err := st.Peek(key)
-				if err != nil {
-					fatal(err)
-				}
-				if !ok {
-					continue // raced with a concurrent GC
-				}
-				tr := decision.FromResult(res)
-				if tr == nil {
-					continue
-				}
-				cp := *tr
-				if cp.Key == "" {
-					cp.Key = key
-				}
-				if cp.Name == "" {
-					cp.Name = key[:12]
-				}
-				traces = append(traces, &cp)
-			}
-			continue
-		}
-		// Tolerate tokens that only matched metrics payloads: -decisions
-		// rides on the same -in as the metrics tables, and a mixed archive
-		// directory is the common case, so misses here are not errors.
-		paths, err := export.ExpandFileArgs(tok, export.DecisionsExt)
-		if err != nil {
-			continue
-		}
-		for _, path := range paths {
-			if !strings.HasSuffix(path, export.DecisionsExt) {
-				continue
-			}
-			t, err := decision.LoadFile(path)
-			if err != nil {
-				fatal(err)
-			}
-			if t.Name == "" {
-				t.Name = strings.TrimSuffix(filepath.Base(path), export.DecisionsExt)
-			}
-			traces = append(traces, t)
-		}
-	}
-	return traces
 }
 
 // decisionsTable renders one summary row per archived decision trace:
@@ -278,108 +214,13 @@ func decisionsTable(traces []*decision.Trace) *experiments.Table {
 	return t
 }
 
-// loadPayloads resolves the -in argument to payloads. Each
-// comma-separated token may be a result-store directory (internal/store
-// layout — every stored result's embedded telemetry is loaded, in key
-// order), a payload file, a directory of *.metrics.json, or a glob.
-// Token order is preserved across all forms — the first payload is the
-// default baseline, so a file named before a store must stay first —
-// and every unmatched file-ish token is collected into one error.
-func loadPayloads(arg string) []*metrics.Payload {
-	var payloads []*metrics.Payload
-	var misses []string
-	for _, tok := range strings.Split(arg, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		// IsStoreRoot, not IsStore: a store populated under an older
-		// codec version is still a store — report it as empty-for-this-
-		// codec rather than "directory with no *.metrics.json".
-		if store.IsStoreRoot(tok) {
-			payloads = append(payloads, loadStorePayloads(tok)...)
-			continue
-		}
-		paths, err := export.ExpandFileArgs(tok, export.MetricsExt)
-		if err != nil {
-			misses = append(misses, err.Error())
-			continue
-		}
-		for _, path := range paths {
-			p, err := metrics.LoadFile(path)
-			if err != nil {
-				fatal(err)
-			}
-			if p.Name == "" {
-				p.Name = strings.TrimSuffix(filepath.Base(path), export.MetricsExt)
-			}
-			payloads = append(payloads, p)
-		}
-	}
-	if len(misses) > 0 {
-		fatal(fmt.Errorf("-in: %s", strings.Join(misses, "; ")))
-	}
-	return payloads
-}
-
-// loadStorePayloads extracts the telemetry payloads embedded in a result
-// store's objects. Results archived without metrics are skipped with a
-// note — they carry nothing to tabulate.
-func loadStorePayloads(dir string) []*metrics.Payload {
-	hadCurrent := store.IsStore(dir)
-	st, err := store.Open(dir)
-	if err != nil {
-		fatal(err)
-	}
-	keys, err := st.Keys()
-	if err != nil {
-		fatal(err)
-	}
-	if len(keys) == 0 && !hadCurrent {
-		// The root held only older-codec trees; say so instead of letting
-		// the generic "no payloads found" hide the version mismatch.
-		fmt.Fprintf(os.Stderr, "palreport: store %s holds no objects for the current codec (older-version trees present; re-run the sweeps, then `palstore gc` reclaims the old tree)\n", dir)
-	}
-	var payloads []*metrics.Payload
-	skipped := 0
-	for _, key := range keys {
-		// Peek, not Get: reporting must not refresh GC recency.
-		res, ok, err := st.Peek(key)
-		if err != nil {
-			fatal(err)
-		}
-		if !ok {
-			continue // raced with a concurrent GC
-		}
-		p := metrics.FromResult(res)
-		if p == nil {
-			skipped++
-			continue
-		}
-		// Stamp identity on a copy (stored payloads are shared values):
-		// the store key doubles as the cache key, and a label-less payload
-		// falls back to a key prefix.
-		cp := *p
-		if cp.Key == "" {
-			cp.Key = key
-		}
-		if cp.Name == "" {
-			cp.Name = key[:12]
-		}
-		payloads = append(payloads, &cp)
-	}
-	if skipped > 0 {
-		fmt.Fprintf(os.Stderr, "palreport: store %s: skipped %d results without telemetry (re-run them with metrics enabled to tabulate)\n", dir, skipped)
-	}
-	return payloads
-}
-
-// gridCell is one expected cell of a -grid expansion: the cell's name
-// and its content-hash cache key, the identity archived results are
-// matched against.
+// gridCell is one expected cell of a -grid expansion: its name and
+// every key a palsweep invocation can store it under — the spec as
+// written first, then with -metrics, -decisions or both force-enabling
+// the recording blocks, which changes the key.
 type gridCell struct {
 	name string
-	key  string
+	keys []string
 }
 
 // expandGridCells resolves the -grid argument (files, directories or
@@ -392,53 +233,23 @@ func expandGridCells(arg string) ([]gridCell, error) {
 		return nil, fmt.Errorf("-grid: %w", err)
 	}
 	var cells []gridCell
-	for _, path := range paths {
-		spec, err := scenario.LoadFile(path)
+	for _, force := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+		loaded, err := cli.LoadCells(paths, force[0], force[1])
 		if err != nil {
 			return nil, err
 		}
-		expanded, err := spec.ExpandGrid()
-		if err != nil {
-			return nil, err
+		if cells == nil {
+			cells = make([]gridCell, len(loaded))
 		}
-		for _, c := range expanded {
-			b, err := c.Build()
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, gridCell{name: c.Name, key: b.Key()})
+		for i, c := range loaded {
+			cells[i].name = c.Built.Spec.Name
+			cells[i].keys = append(cells[i].keys, c.Built.Key())
 		}
 	}
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("-grid: no scenario specs in %q", arg)
 	}
 	return cells, nil
-}
-
-// storeKeys collects the result keys of every store directory named in
-// the -in argument. Results archived without telemetry carry no payload
-// to tabulate but still prove their cell ran, so coverage is judged
-// against store keys as well as loaded payloads.
-func storeKeys(arg string) map[string]bool {
-	keys := make(map[string]bool)
-	for _, tok := range strings.Split(arg, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" || !store.IsStoreRoot(tok) {
-			continue
-		}
-		st, err := store.Open(tok)
-		if err != nil {
-			fatal(err)
-		}
-		ks, err := st.Keys()
-		if err != nil {
-			fatal(err)
-		}
-		for _, k := range ks {
-			keys[k] = true
-		}
-	}
-	return keys
 }
 
 // gridCoverageTable renders one row per expected grid cell, in
@@ -454,11 +265,11 @@ func gridCoverageTable(cells []gridCell, have map[string]bool) *experiments.Tabl
 	missing := 0
 	for _, c := range cells {
 		status := "present"
-		if !have[c.key] {
+		if !slices.ContainsFunc(c.keys, func(k string) bool { return have[k] }) {
 			status = "MISSING"
 			missing++
 		}
-		t.AddRowf(c.name, c.key[:16], status)
+		t.AddRowf(c.name, c.keys[0][:16], status)
 	}
 	t.Note("%d of %d grid cells present, %d missing", len(cells)-missing, len(cells), missing)
 	if missing > 0 {

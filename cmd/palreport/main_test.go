@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -93,9 +94,13 @@ func TestGridCoveragePartialStore(t *testing.T) {
 		}
 	}
 
-	have := storeKeys(storeDir)
+	arch, err := cli.ReadArchive("palreport", storeDir, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := arch.Keys
 	if len(have) != len(ran) {
-		t.Fatalf("storeKeys found %d keys, want the %d shard-%d cells", len(have), len(ran), shard)
+		t.Fatalf("the store holds %d keys, want the %d shard-%d cells", len(have), len(ran), shard)
 	}
 
 	table := gridCoverageTable(cells, have)
@@ -108,7 +113,7 @@ func TestGridCoveragePartialStore(t *testing.T) {
 			t.Errorf("row %d names cell %q, want %q (expansion order)", i, row[0], cells[i].name)
 		}
 		wantStatus := "MISSING"
-		if ran[cells[i].key] {
+		if ran[cells[i].keys[0]] {
 			wantStatus = "present"
 		}
 		if row[2] != wantStatus {
@@ -148,7 +153,7 @@ func TestGridCoveragePartialStore(t *testing.T) {
 	// A complete archive renders all-present with no remaining-shards hint.
 	full := map[string]bool{}
 	for _, c := range cells {
-		full[c.key] = true
+		full[c.keys[0]] = true
 	}
 	fullTable := gridCoverageTable(cells, full)
 	for _, row := range fullTable.Rows {

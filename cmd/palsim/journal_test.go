@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/journal"
 	"repro/internal/scenario"
 )
@@ -22,11 +23,11 @@ const journalTestSpec = `{
   "policy": {"name": "pal"}
 }`
 
-// openSession opens a palsim session over storeDir and journalDir
-// (either may be empty), failing the test on error.
-func openSession(t *testing.T, storeDir, journalDir string) *session {
+// openSession opens a palsim session, as main does, over storeDir and
+// journalDir (either may be empty), failing the test on error.
+func openSession(t *testing.T, storeDir, journalDir string) *cli.Session {
 	t.Helper()
-	s, err := newSession(storeDir, journalDir)
+	s, err := cli.Open("palsim", cli.Flags{Workers: 1, CacheCap: 1, Store: storeDir, Journal: journalDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +63,10 @@ func TestSingleRunJournalReconciles(t *testing.T) {
 	// Cold run: simulate, store, journal one executed span.
 	coldDir := filepath.Join(dir, "journal-cold")
 	cold := openSession(t, storeDir, coldDir)
-	built.Counters = cold.ctrs
-	res := cold.run(built.Key(), built.Spec.Name, built.Run)
-	ranCounters := *cold.ctrs
-	cold.finish(io.Discard)
+	built.Counters = cold.Engine
+	res := run(cold, built.Key(), built.Spec.Name, built.Run)
+	ranCounters := *cold.Engine
+	finish(io.Discard, cold)
 
 	procs, err := journal.LoadDir(coldDir)
 	if err != nil {
@@ -115,9 +116,9 @@ func TestSingleRunJournalReconciles(t *testing.T) {
 	// with no counters attached — no engine stepped in this process.
 	warmDir := filepath.Join(dir, "journal-warm")
 	warm := openSession(t, storeDir, warmDir)
-	built.Counters = warm.ctrs
-	warmRes := warm.run(built.Key(), built.Spec.Name, built.Run)
-	warm.finish(io.Discard)
+	built.Counters = warm.Engine
+	warmRes := run(warm, built.Key(), built.Spec.Name, built.Run)
+	finish(io.Discard, warm)
 	if warmRes.Rounds != res.Rounds {
 		t.Errorf("warm store hit returned %d rounds, cold run had %d", warmRes.Rounds, res.Rounds)
 	}
@@ -149,7 +150,7 @@ func TestStoreGetFailureDegrades(t *testing.T) {
 	var want, coldErr bytes.Buffer
 	cold := openSession(t, storeDir, "")
 	runScenario(&want, cold, path, "", outputFlags{})
-	cold.finish(&coldErr)
+	finish(&coldErr, cold)
 	if strings.Contains(coldErr.String(), "WARNING") {
 		t.Fatalf("healthy cold run warned:\n%s", coldErr.String())
 	}
@@ -165,7 +166,7 @@ func TestStoreGetFailureDegrades(t *testing.T) {
 	var got, stderr bytes.Buffer
 	warm := openSession(t, storeDir, "")
 	runScenario(&got, warm, path, "", outputFlags{})
-	warm.finish(&stderr)
+	finish(&stderr, warm)
 	if got.String() != want.String() {
 		t.Errorf("degraded run reported\n%s\nwant\n%s", got.String(), want.String())
 	}

@@ -38,18 +38,17 @@ import (
 	"os"
 	"slices"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/decision"
 	"repro/internal/experiments"
 	"repro/internal/export"
-	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -79,23 +78,12 @@ func main() {
 	)
 	flag.Parse()
 
-	stopProfiles, err := journal.StartProfiles(*cpuProfile, *memProfile)
+	sess, err := cli.Open("palsim", cli.Flags{
+		Workers: 1, CacheCap: 1, Store: *storeDir, Journal: *journalDir,
+		CPUProfile: *cpuProfile, MemProfile: *memProfile,
+	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-		os.Exit(2)
-	}
-	sess, err := newSession(*storeDir, *journalDir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-		os.Exit(2)
-	}
-	// finish runs on every clean exit path; fatal paths leave a
-	// summary-less journal, which the reader reports as incomplete.
-	finish := func() {
-		sess.finish(os.Stderr)
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-		}
+		fatal(2, err)
 	}
 
 	out := outputFlags{
@@ -104,23 +92,20 @@ func main() {
 	}
 	if *scenPath != "" {
 		runScenario(os.Stdout, sess, *scenPath, *dumpTrace, out)
-		finish()
+		finish(os.Stderr, sess)
 		return
 	}
 	if *dumpTrace != "" {
-		fmt.Fprintln(os.Stderr, "palsim: -dump-trace requires -scenario")
-		os.Exit(2)
+		fatal(2, fmt.Errorf("-dump-trace requires -scenario"))
 	}
 
 	pol, ok := policyByName(*policy)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "palsim: unknown policy %q\n", *policy)
-		os.Exit(2)
+		fatal(2, fmt.Errorf("unknown policy %q", *policy))
 	}
 	s := sched.ByName(*schedName)
 	if s == nil {
-		fmt.Fprintf(os.Stderr, "palsim: unknown scheduler %q\n", *schedName)
-		os.Exit(2)
+		fatal(2, fmt.Errorf("unknown scheduler %q", *schedName))
 	}
 
 	var (
@@ -137,8 +122,7 @@ func main() {
 		tr = trace.Synergy(params)
 		topo = experiments.SynergyTopology()
 	default:
-		fmt.Fprintf(os.Stderr, "palsim: unknown trace family %q\n", *traceKind)
-		os.Exit(2)
+		fatal(2, fmt.Errorf("unknown trace family %q", *traceKind))
 	}
 	if *nodes > 0 {
 		topo = cluster.Topology{NumNodes: *nodes, GPUsPerNode: experiments.GPUsPerNode}
@@ -158,7 +142,7 @@ func main() {
 		spec.ModelLacross = trace.LacrossByModel()
 	}
 	runFlagSpec(os.Stdout, sess, spec, out)
-	finish()
+	finish(os.Stderr, sess)
 }
 
 // outputFlags are the output-shaping flags both run paths honor.
@@ -186,12 +170,12 @@ func (o outputFlags) collector() (on bool, series []string) {
 
 // runFlagSpec runs the flag-built configuration through the session
 // and prints or archives its outputs. It returns the result for tests.
-func runFlagSpec(w io.Writer, s *session, spec experiments.RunSpec, out outputFlags) *sim.Result {
+func runFlagSpec(w io.Writer, s *cli.Session, spec experiments.RunSpec, out outputFlags) *sim.Result {
 	spec.RecordMetrics, spec.MetricsSeries = out.collector()
-	spec.Counters = s.ctrs
+	spec.Counters = s.Engine
 	policy, schedName := spec.Policy.RegistryName(), spec.Sched.Name()
 	label := fmt.Sprintf("%s %s %s", spec.Trace.Name, policy, schedName)
-	res := s.run(spec.Key(), label, func() (*sim.Result, error) {
+	res := run(s, spec.Key(), label, func() (*sim.Result, error) {
 		return experiments.Run(spec)
 	})
 	if out.metricsDir != "" {
@@ -203,106 +187,40 @@ func runFlagSpec(w io.Writer, s *session, spec experiments.RunSpec, out outputFl
 	return res
 }
 
-// session is one palsim invocation's orchestration, wired the way
-// palsweep wires a sweep: a 1-worker pool whose result cache -store
-// backs (through the journal's store probe with -journal), the
-// optional journal observing the pool, and the engine counters the run
-// attaches. A warm start is the cache's store tier serving the task.
-type session struct {
-	pool  *runner.Pool
-	jw    *journal.Writer       // nil without -journal
-	probe *journal.BackendProbe // nil unless both -store and -journal
-	ctrs  *sim.Counters
-}
-
-// newSession opens the journal in journalDir and the store in storeDir;
-// either may be empty.
-func newSession(storeDir, journalDir string) (*session, error) {
-	s := &session{pool: runner.NewPool(1, runner.NewResultCache(1)), ctrs: &sim.Counters{}}
-	if journalDir != "" {
-		jw, err := journal.Create(journalDir, journal.Header{Role: "palsim", Workers: 1})
-		if err != nil {
-			return nil, err
-		}
-		s.jw = jw
-		s.pool.SetProbe(jw)
-	}
-	if storeDir != "" {
-		st, err := store.Open(storeDir)
-		if err != nil {
-			return nil, err
-		}
-		var backend runner.Backend = st
-		if s.jw != nil {
-			s.probe = journal.ProbeBackend(st)
-			backend = s.probe
-		}
-		s.pool.Cache().SetBackend(backend)
-	}
-	return s, nil
-}
-
-// run executes the simulation as the pool's one task under its
+// run executes the simulation as the session pool's one task under its
 // content-addressed key: the cache loads a stored result instead of
 // simulating, persists a fresh one, and degrades to simulating when
 // the store fails.
-func (s *session) run(key, label string, run func() (*sim.Result, error)) *sim.Result {
-	res, err := s.pool.Run(context.Background(), []runner.Task{{
-		Key: key, Label: label, Run: run,
-		Counters: func() *sim.Counters { return s.ctrs },
+func run(s *cli.Session, key, label string, fn func() (*sim.Result, error)) *sim.Result {
+	res, err := s.Pool.Run(context.Background(), []runner.Task{{
+		Key: key, Label: label, Run: fn,
+		Counters: func() *sim.Counters { return s.Engine },
 	}})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 	return res[0]
 }
 
-// finish writes the engine summary (when an engine stepped here), the
-// cache summary palsweep prints too, and any store WARNING to w, then
-// closes the journal with the shared summary record.
-func (s *session) finish(w io.Writer) {
-	if s.ctrs.TotalRounds() > 0 {
-		fmt.Fprintf(w, "palsim: %s\n", s.ctrs.Summary())
-	}
-	fmt.Fprintf(w, "palsim: %s\n", runner.CacheSummary(s.pool))
-	runner.WarnStore(w, "palsim", s.pool, nil)
-	if s.jw != nil {
-		if err := s.jw.Close(journal.SummaryOf(s.pool, s.probe)); err != nil {
-			fmt.Fprintf(w, "palsim: WARNING: journal degraded: %v\n", err)
-		} else {
-			fmt.Fprintf(w, "palsim: journal %s\n", s.jw.Path())
-		}
-	}
+// finish writes the engine summary (when an engine stepped here) and
+// the cache summary palsweep prints too, then closes the session on a
+// clean exit.
+func finish(w io.Writer, s *cli.Session) {
+	s.EngineSummary(w)
+	fmt.Fprintf(w, "palsim: %s\n", s.CacheSummary())
+	s.Finish(w, false)
 }
 
-// dumpMetrics archives a run's telemetry payload (with the cache key
-// stamped on a copy — the original may be shared through the runner
-// cache) and per-series CSVs, plus the run's decision trace when one was
-// recorded (ready for cmd/palexplain).
+// dumpMetrics archives a run's telemetry payload, series CSVs and,
+// when one was recorded, decision trace (ready for cmd/palexplain).
 func dumpMetrics(dir, base string, res *sim.Result, key string) {
-	payload := metrics.FromResult(res)
-	if payload == nil {
-		fmt.Fprintln(os.Stderr, "palsim: run produced no metrics payload")
-		os.Exit(1)
-	}
-	p := *payload
-	p.Key = key
-	path, err := export.WriteMetricsDir(dir, base, &p)
+	payloadPath, tracePath, err := cli.WriteArchive(dir, base, key, res)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
-	fmt.Fprintf(os.Stderr, "palsim: wrote metrics payload %s (+%d series CSVs)\n", path, len(p.Series))
-	if tr := decision.FromResult(res); tr != nil {
-		t := *tr
-		t.Key = key
-		tpath, err := export.WriteDecisionsFile(dir, base, &t)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "palsim: wrote decision trace %s (%d records)\n", tpath, len(t.Records))
+	fmt.Fprintf(os.Stderr, "palsim: wrote metrics payload %s (+%d series CSVs)\n", payloadPath, len(metrics.FromResult(res).Series))
+	if tracePath != "" {
+		fmt.Fprintf(os.Stderr, "palsim: wrote decision trace %s (%d records)\n", tracePath, len(decision.FromResult(res).Records))
 	}
 }
 
@@ -312,7 +230,7 @@ func dumpMetrics(dir, base string, res *sim.Result, key string) {
 // switching the spec's metrics and decisions blocks on (with a
 // re-Normalize so the forced spec canonicalizes — and cache-keys —
 // exactly like a file that enabled them).
-func runScenario(w io.Writer, s *session, path, dumpTrace string, out outputFlags) *sim.Result {
+func runScenario(w io.Writer, s *cli.Session, path, dumpTrace string, out outputFlags) *sim.Result {
 	// The spec owns the whole configuration; a flag-built knob alongside
 	// it would be silently ignored, so reject the combination.
 	conflicting := map[string]bool{
@@ -322,15 +240,13 @@ func runScenario(w io.Writer, s *session, path, dumpTrace string, out outputFlag
 	}
 	flag.Visit(func(f *flag.Flag) {
 		if conflicting[f.Name] {
-			fmt.Fprintf(os.Stderr, "palsim: -%s conflicts with -scenario (the spec sets it)\n", f.Name)
-			os.Exit(2)
+			fatal(2, fmt.Errorf("-%s conflicts with -scenario (the spec sets it)", f.Name))
 		}
 	})
 
 	spec, err := scenario.LoadFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-		os.Exit(2)
+		fatal(2, err)
 	}
 	if on, series := out.collector(); on {
 		switch {
@@ -347,15 +263,13 @@ func runScenario(w io.Writer, s *session, path, dumpTrace string, out outputFlag
 	spec.Normalize()
 	built, err := spec.Build()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-		os.Exit(2)
+		fatal(2, err)
 	}
-	built.Counters = s.ctrs
+	built.Counters = s.Engine
 	if dumpTrace != "" {
 		f, err := os.Create(dumpTrace)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-			os.Exit(1)
+			fatal(1, err)
 		}
 		if err := built.Trace.Save(f); err == nil {
 			err = f.Close()
@@ -363,12 +277,11 @@ func runScenario(w io.Writer, s *session, path, dumpTrace string, out outputFlag
 			f.Close()
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "palsim: dump-trace: %v\n", err)
-			os.Exit(1)
+			fatal(1, fmt.Errorf("dump-trace: %w", err))
 		}
 		fmt.Fprintf(os.Stderr, "palsim: saved %d-job workload to %s\n", len(built.Trace.Jobs), dumpTrace)
 	}
-	res := s.run(built.Key(), "scenario "+spec.Name, built.Run)
+	res := run(s, built.Key(), "scenario "+spec.Name, built.Run)
 	if out.metricsDir != "" {
 		dumpMetrics(out.metricsDir, spec.Name, res, built.Key())
 	}
@@ -385,8 +298,7 @@ func runScenario(w io.Writer, s *session, path, dumpTrace string, out outputFlag
 func report(w io.Writer, header string, res *sim.Result, out outputFlags) {
 	if out.asJSON {
 		if err := export.ResultJSON(w, res); err != nil {
-			fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-			os.Exit(1)
+			fatal(1, err)
 		}
 		return
 	}
@@ -456,6 +368,13 @@ func printDeciles(w io.Writer, inUse []float64) {
 		fmt.Fprintf(w, " %d", sum/len(slice))
 	}
 	fmt.Fprintln(w)
+}
+
+// fatal reports err and exits: code 2 for usage and configuration
+// errors, 1 for failures while running or writing output.
+func fatal(code int, err error) {
+	fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
+	os.Exit(code)
 }
 
 func policyByName(name string) (experiments.Policy, bool) {

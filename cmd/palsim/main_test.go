@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -32,17 +33,17 @@ func seriesNames(t *testing.T, res *sim.Result) []string {
 // coldThenWarm runs one palsim invocation twice against a fresh store:
 // the first simulates and stores, the second must load the result and
 // print exactly the same report.
-func coldThenWarm(t *testing.T, run func(s *session, out outputFlags) (*sim.Result, string), out outputFlags) (*sim.Result, string) {
+func coldThenWarm(t *testing.T, run func(s *cli.Session, out outputFlags) (*sim.Result, string), out outputFlags) (*sim.Result, string) {
 	t.Helper()
 	storeDir := filepath.Join(t.TempDir(), "store")
 	s := openSession(t, storeDir, "")
 	res, cold := run(s, out)
-	if st := s.pool.Cache().Stats(); st.Stored != 1 {
+	if st := s.Pool.Cache().Stats(); st.Stored != 1 {
 		t.Fatalf("cold run stored %d results, want 1", st.Stored)
 	}
 	s = openSession(t, storeDir, "")
 	_, warm := run(s, out)
-	if st := s.pool.Cache().Stats(); st.StoreHits != 1 {
+	if st := s.Pool.Cache().Stats(); st.StoreHits != 1 {
 		t.Fatalf("warm run: %d store hits, want 1", st.StoreHits)
 	}
 	if warm != cold {
@@ -83,7 +84,7 @@ const (
 )
 
 func TestUtilAndEventsFlagPath(t *testing.T) {
-	run := func(s *session, out outputFlags) (*sim.Result, string) {
+	run := func(s *cli.Session, out outputFlags) (*sim.Result, string) {
 		var buf bytes.Buffer
 		res := runFlagSpec(&buf, s, synergyFlagSpec(), out)
 		return res, buf.String()
@@ -132,7 +133,7 @@ func writeSpec(t *testing.T, src string) string {
 
 func TestUtilAndEventsScenarioPath(t *testing.T) {
 	path := writeSpec(t, flagsTestSpec)
-	run := func(s *session, out outputFlags) (*sim.Result, string) {
+	run := func(s *cli.Session, out outputFlags) (*sim.Result, string) {
 		var buf bytes.Buffer
 		res := runScenario(&buf, s, path, "", out)
 		return res, buf.String()

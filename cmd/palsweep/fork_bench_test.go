@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/runner"
 	"repro/internal/sim"
 )
@@ -45,7 +46,7 @@ func BenchmarkSnapshotFork(b *testing.B) {
 	sweepOnce := func(forked bool) time.Duration {
 		// Cells are reloaded per pass: Built values carry per-run engine
 		// state and must not be shared between sweeps.
-		cells, err := loadScenarioCells([]string{path}, false, false)
+		cells, err := cli.LoadCells([]string{path}, false, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,7 +58,7 @@ func BenchmarkSnapshotFork(b *testing.B) {
 		sweep := runner.NewSweep(pool)
 		t0 := time.Now()
 		for _, c := range cells {
-			run := c.built
+			run := c.Built
 			tk := runner.Task{Key: run.Key(), Label: run.Spec.Name,
 				Run: func() (*sim.Result, error) { return run.Run() }}
 			if forked && run.Forked() {

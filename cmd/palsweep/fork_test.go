@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -40,7 +41,7 @@ func writeForkGrid(t *testing.T, dir string) string {
 // runCellsForked mirrors runCells with the -snapshots wiring: fork-
 // bearing cells route through a snapshot cache exactly as
 // runScenarioSweep submits them. snapBackend may be nil (memory-only).
-func runCellsForked(t *testing.T, cells []scenarioCell, snapBackend runner.SnapshotBackend) ([]*sim.Result, runner.Stats, runner.SnapshotCacheStats) {
+func runCellsForked(t *testing.T, cells []cli.Cell, snapBackend runner.SnapshotBackend) ([]*sim.Result, runner.Stats, runner.SnapshotCacheStats) {
 	t.Helper()
 	pool := runner.NewPool(4, runner.NewResultCache(0))
 	snapCache := runner.NewSnapshotCache(snapBackend)
@@ -49,11 +50,11 @@ func runCellsForked(t *testing.T, cells []scenarioCell, snapBackend runner.Snaps
 
 // sweepForked submits cells to pool as runScenarioSweep does, routing
 // fork-bearing cells through snapCache, and returns the results.
-func sweepForked(t *testing.T, pool *runner.Pool, snapCache *runner.SnapshotCache, cells []scenarioCell) []*sim.Result {
+func sweepForked(t *testing.T, pool *runner.Pool, snapCache *runner.SnapshotCache, cells []cli.Cell) []*sim.Result {
 	t.Helper()
 	sweep := runner.NewSweep(pool)
 	for _, c := range cells {
-		run := c.built
+		run := c.Built
 		tk := runner.Task{Key: run.Key(), Label: run.Spec.Name,
 			Run: func() (*sim.Result, error) { return run.Run() }}
 		if run.Forked() {
@@ -76,7 +77,7 @@ func sweepForked(t *testing.T, pool *runner.Pool, snapCache *runner.SnapshotCach
 func TestForkedSweepByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	specPath := writeForkGrid(t, dir)
-	cells, err := loadScenarioCells([]string{specPath}, false, false)
+	cells, err := cli.LoadCells([]string{specPath}, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestForkedSweepByteIdentical(t *testing.T) {
 
 	// Shared-snapshot path, memory-only cache: must reload the cells so
 	// the reference pass's engines don't alias.
-	cells2, err := loadScenarioCells([]string{specPath}, false, false)
+	cells2, err := cli.LoadCells([]string{specPath}, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestForkedSweepByteIdentical(t *testing.T) {
 	for i, r := range results {
 		if !bytes.Equal(encodeResult(t, r), ref[i]) {
 			t.Errorf("cell %d (%s): forked result diverged from the per-cell run",
-				i, cells[i].built.Spec.Name)
+				i, cells[i].Built.Spec.Name)
 		}
 	}
 	if stats.Executed != int64(len(cells)) {
@@ -129,7 +130,7 @@ func TestForkedSweepStoreWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cells, err := loadScenarioCells([]string{specPath}, false, false)
+	cells, err := cli.LoadCells([]string{specPath}, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestForkedSweepStoreWarmStart(t *testing.T) {
 	// Second sweep: fresh cells, fresh caches, same store. No result
 	// cache backend here, so every cell re-runs — but the snapshot comes
 	// from disk: zero captures, every cell a fork.
-	cells2, err := loadScenarioCells([]string{specPath}, false, false)
+	cells2, err := cli.LoadCells([]string{specPath}, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,13 +188,13 @@ func (failingSnapBackend) PutSnapshot(string, *sim.Snapshot) error {
 // end-of-sweep WARNING reports them like result-store failures.
 func TestSnapshotStoreFailureWarns(t *testing.T) {
 	specPath := writeForkGrid(t, t.TempDir())
-	cells, err := loadScenarioCells([]string{specPath}, false, false)
+	cells, err := cli.LoadCells([]string{specPath}, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refResults, _ := runCells(t, cells, nil)
 
-	cells2, err := loadScenarioCells([]string{specPath}, false, false)
+	cells2, err := cli.LoadCells([]string{specPath}, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestSnapshotStoreFailureWarns(t *testing.T) {
 		}
 	}
 	var stderr bytes.Buffer
-	runner.WarnStore(&stderr, "palsweep", pool, snapCache)
+	(&cli.Session{Cmd: "palsweep", Pool: pool, Snaps: snapCache}).Finish(&stderr, true)
 	if want := "palsweep: WARNING: persistent store degraded: 2 backend errors\n"; stderr.String() != want {
 		t.Errorf("warning = %q, want %q", stderr.String(), want)
 	}

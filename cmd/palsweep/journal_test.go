@@ -9,42 +9,26 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/journal"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/store"
 )
 
-// runCellsJournaled mirrors runCells with the full -journal wiring:
-// store wrapped by the latency probe, pool observed by a journal
+// runCellsJournaled mirrors runCells through the session main() opens:
+// the store wrapped by the latency probe, the pool observed by a journal
 // writer, a fresh engine-counter instance attached per cell, and the
-// summary record written on completion — the exact plumbing main()
-// sets up.
-func runCellsJournaled(tb testing.TB, cells []scenarioCell, st *store.Store, journalDir, shard string) ([]*sim.Result, runner.Stats) {
+// summary record written on completion. storeDir or journalDir may be
+// empty.
+func runCellsJournaled(tb testing.TB, cells []cli.Cell, storeDir, journalDir, shard string) ([]*sim.Result, runner.Stats) {
 	tb.Helper()
-	cache := runner.NewResultCache(0)
-	var probe *journal.BackendProbe
-	if st != nil {
-		var backend runner.Backend = st
-		if journalDir != "" {
-			probe = journal.ProbeBackend(st)
-			backend = probe
-		}
-		cache.SetBackend(backend)
+	sess, err := cli.Open("palsweep", cli.Flags{Workers: 4, Store: storeDir, Journal: journalDir, Shard: shard})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	pool := runner.NewPool(4, cache)
-	var jw *journal.Writer
-	if journalDir != "" {
-		var err error
-		jw, err = journal.Create(journalDir, journal.Header{Role: "palsweep", Shard: shard, Workers: pool.Workers()})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		pool.SetProbe(jw)
-	}
-	sweep := runner.NewSweep(pool)
+	sweep := runner.NewSweep(sess.Pool)
 	for _, c := range cells {
-		run := c.built
+		run := c.Built
 		ctrs := &sim.Counters{}
 		run.Counters = ctrs
 		sweep.AddTask(runner.Task{
@@ -58,12 +42,12 @@ func runCellsJournaled(tb testing.TB, cells []scenarioCell, st *store.Store, jou
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if jw != nil {
-		if err := jw.Close(journal.SummaryOf(pool, probe)); err != nil {
-			tb.Fatal(err)
-		}
+	var warnings bytes.Buffer
+	sess.Finish(&warnings, true)
+	if warnings.Len() > 0 {
+		tb.Fatal(warnings.String())
 	}
-	return results, pool.Stats()
+	return results, sess.Pool.Stats()
 }
 
 // TestProbeDoesNotPerturbSweep is the journal's byte-identity suite:
@@ -75,43 +59,33 @@ func runCellsJournaled(tb testing.TB, cells []scenarioCell, st *store.Store, jou
 func TestProbeDoesNotPerturbSweep(t *testing.T) {
 	dir := t.TempDir()
 	specPath := writeShardGrid(t, dir)
-	cells, err := loadScenarioCells([]string{specPath}, false, false)
+	cells, err := cli.LoadCells([]string{specPath}, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Unjournaled, storeless reference.
 	refResults, _ := runCells(t, cells, nil)
-	refTable, _, err := scenarioTable(cells, refResults, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	refTable := scenarioTable(cells, refResults)
 	refByKey := make(map[string][]byte, len(cells))
 	for i, c := range cells {
-		refByKey[c.built.Key()] = encodeResult(t, refResults[i])
+		refByKey[c.Built.Key()] = encodeResult(t, refResults[i])
 	}
 
 	// Journaled unsharded sweep through a store: byte-identical results
 	// and table.
-	st, err := store.Open(filepath.Join(dir, "store-unsharded"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	journalDir := filepath.Join(dir, "journal")
-	jResults, jStats := runCellsJournaled(t, cells, st, journalDir, "")
+	jResults, jStats := runCellsJournaled(t, cells, filepath.Join(dir, "store-unsharded"), journalDir, "")
 	roundsFor := map[string]int64{}
 	for _, r := range jResults {
 		roundsFor[""] += int64(r.Rounds)
 	}
 	for i, c := range cells {
-		if !bytes.Equal(encodeResult(t, jResults[i]), refByKey[c.built.Key()]) {
-			t.Errorf("cell %s: journaled result differs from unjournaled reference", c.built.Spec.Name)
+		if !bytes.Equal(encodeResult(t, jResults[i]), refByKey[c.Built.Key()]) {
+			t.Errorf("cell %s: journaled result differs from unjournaled reference", c.Built.Spec.Name)
 		}
 	}
-	jTable, _, err := scenarioTable(cells, jResults, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	jTable := scenarioTable(cells, jResults)
 	if refTable.String() != jTable.String() {
 		t.Errorf("journaled table differs from unjournaled reference:\n--- plain\n%s\n--- journaled\n%s",
 			refTable.String(), jTable.String())
@@ -124,18 +98,14 @@ func TestProbeDoesNotPerturbSweep(t *testing.T) {
 	shardStats := make([]runner.Stats, n)
 	for i := 0; i < n; i++ {
 		kept := filterShard(cells, shardSpec{index: i, count: n})
-		sst, err := store.Open(shardStore)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results, stats := runCellsJournaled(t, kept, sst, journalDir, shardName(i, n))
+		results, stats := runCellsJournaled(t, kept, shardStore, journalDir, shardName(i, n))
 		shardStats[i] = stats
 		for _, r := range results {
 			roundsFor[shardName(i, n)] += int64(r.Rounds)
 		}
 		for j, c := range kept {
-			if !bytes.Equal(encodeResult(t, results[j]), refByKey[c.built.Key()]) {
-				t.Errorf("shard %d/%d cell %s: journaled result differs from reference", i, n, c.built.Spec.Name)
+			if !bytes.Equal(encodeResult(t, results[j]), refByKey[c.Built.Key()]) {
+				t.Errorf("shard %d/%d cell %s: journaled result differs from reference", i, n, c.Built.Spec.Name)
 			}
 		}
 	}
@@ -254,17 +224,13 @@ func BenchmarkJournalOverhead(b *testing.B) {
 	if err := os.WriteFile(path, []byte(benchGridSpec), 0o644); err != nil {
 		b.Fatal(err)
 	}
-	cells, err := loadScenarioCells([]string{path}, false, false)
+	cells, err := cli.LoadCells([]string{path}, false, false)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sweepOnce := func(storeDir, journalDir string) time.Duration {
-		st, err := store.Open(storeDir)
-		if err != nil {
-			b.Fatal(err)
-		}
 		t0 := time.Now()
-		runCellsJournaled(b, cells, st, journalDir, "")
+		runCellsJournaled(b, cells, storeDir, journalDir, "")
 		return time.Since(t0)
 	}
 	bestOf := func(k int, f func(i int) time.Duration) time.Duration {

@@ -98,16 +98,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/decision"
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/export"
-	"repro/internal/journal"
-	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/store"
 )
 
 // groups name convenient experiment subsets.
@@ -219,66 +216,17 @@ func main() {
 	}()
 	sc.Ctx = ctx
 
-	stopProfiles, err := journal.StartProfiles(*cpuProfile, *memProfile)
+	// The snapshot tier shares fork-bearing cells' warmup prefixes;
+	// with -store, captures persist beside results so shard processes
+	// (and later sweeps) fork from disk.
+	sess, err := cli.Open("palsweep", cli.Flags{
+		Workers: *workers, CacheCap: *cacheCap, Store: *storeDir, Journal: *journalDir, Shard: *shardFlag,
+		CPUProfile: *cpuProfile, MemProfile: *memProfile, Snapshots: *scenFlag != "" && *snapshots,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	cache := runner.NewResultCache(*cacheCap)
-	var storeProbe *journal.BackendProbe
-	var snapBackend runner.SnapshotBackend
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			fatal(err)
-		}
-		snapBackend = st
-		var backend runner.Backend = st
-		if *journalDir != "" {
-			// The probe wraps the store so the journal's summary carries
-			// per-op latency/size histograms; the cache (and its circuit
-			// breaker) sees the probe as just another backend.
-			storeProbe = journal.ProbeBackend(st)
-			backend = storeProbe
-		}
-		cache.SetBackend(backend)
-	}
-	pool := runner.NewPool(*workers, cache)
-	experiments.SetPool(pool)
-	var snapCache *runner.SnapshotCache
-	if *scenFlag != "" && *snapshots {
-		// The snapshot cache shares fork-bearing cells' warmup
-		// prefixes; with -store, captures persist beside results so
-		// shard processes (and later sweeps) fork from disk.
-		snapCache = runner.NewSnapshotCache(snapBackend)
-	}
-
-	var jw *journal.Writer
-	if *journalDir != "" {
-		jw, err = journal.Create(*journalDir, journal.Header{
-			Role: "palsweep", Shard: *shardFlag, Workers: pool.Workers(),
-		})
-		if err != nil {
-			fatal(err)
-		}
-		pool.SetProbe(jw)
-	}
-	// finish runs on every clean exit path (fatal paths leave a
-	// summary-less journal, which the reader reports as incomplete): the
-	// store-degradation warning, the journal summary record, and the
-	// profile flush.
-	finish := func() {
-		runner.WarnStore(os.Stderr, "palsweep", pool, snapCache)
-		if jw != nil {
-			if err := jw.Close(journal.SummaryOf(pool, storeProbe)); err != nil {
-				fmt.Fprintf(os.Stderr, "palsweep: WARNING: journal degraded: %v\n", err)
-			} else if !*quiet {
-				fmt.Fprintf(os.Stderr, "palsweep: journal %s\n", jw.Path())
-			}
-		}
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "palsweep: %v\n", err)
-		}
-	}
+	experiments.SetPool(sess.Pool)
 
 	start := time.Now()
 	if *scenFlag != "" {
@@ -286,8 +234,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		runScenarioSweep(ctx, pool, snapCache, paths, *format, *outDir, *metricsDir, *decisions, *quiet, shard, start)
-		finish()
+		runScenarioSweep(ctx, sess, paths, *format, *outDir, *metricsDir, *decisions, *quiet, shard, start)
+		sess.Finish(os.Stderr, *quiet)
 		return
 	}
 	progressDone := make(chan struct{})
@@ -296,7 +244,7 @@ func main() {
 	if !*quiet {
 		go func() {
 			defer close(progressExited)
-			progressLoop(pool, names, &completedExps, start, progressDone)
+			progressLoop(sess.Pool, names, &completedExps, start, progressDone)
 		}()
 	}
 
@@ -351,9 +299,9 @@ func main() {
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "palsweep: %d experiments, %s, %d workers, %.1fs total\n",
-			len(names)-failures, runner.CacheSummary(pool), pool.Workers(), time.Since(start).Seconds())
+			len(names)-failures, sess.CacheSummary(), sess.Pool.Workers(), time.Since(start).Seconds())
 	}
-	finish()
+	sess.Finish(os.Stderr, *quiet)
 	if failures > 0 {
 		os.Exit(1)
 	}
@@ -369,13 +317,6 @@ func expandScenarioArgs(s string) ([]string, error) {
 		return nil, fmt.Errorf("-scenario: %w", err)
 	}
 	return paths, nil
-}
-
-// scenarioCell is one expanded grid cell queued for the sweep: the
-// built scenario plus the spec file it came from.
-type scenarioCell struct {
-	built *scenario.Built
-	path  string
 }
 
 // shardSpec is a parsed -shard value. count 0 means unsharded.
@@ -410,105 +351,56 @@ func parseShard(s string) (shardSpec, error) {
 	return shardSpec{index: i, count: n}, nil
 }
 
-// loadScenarioCells loads every spec file, force-enables the recording
-// blocks the flags ask for, expands grid specs into their cells, and
-// builds each cell. The forced enables happen before expansion, so grid
-// cells normalize the enabled blocks — and cache-key — exactly like
-// single-cell specs that asked for recording themselves.
-func loadScenarioCells(paths []string, forceMetrics, forceDecisions bool) ([]scenarioCell, error) {
-	var cells []scenarioCell
-	for _, path := range paths {
-		spec, err := scenario.LoadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		if forceMetrics {
-			spec.Metrics.Enabled = true
-		}
-		if forceDecisions {
-			spec.Decisions.Enabled = true
-		}
-		if forceMetrics || forceDecisions {
-			spec.Normalize()
-		}
-		expanded, err := spec.ExpandGrid()
-		if err != nil {
-			return nil, err
-		}
-		for _, cell := range expanded {
-			built, err := cell.Build()
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, scenarioCell{built: built, path: path})
-		}
-	}
-	return cells, nil
-}
-
 // filterShard keeps the cells whose content hash lands in this shard.
 // Assignment is runner.ShardOf over the cell's cache key — a pure
 // function of cell content, never of enumeration order — so the n shard
 // processes of one grid agree on the partition without coordination and
 // re-running any shard selects the same cells.
-func filterShard(cells []scenarioCell, sh shardSpec) []scenarioCell {
+func filterShard(cells []cli.Cell, sh shardSpec) []cli.Cell {
 	if !sh.enabled() {
 		return cells
 	}
-	kept := make([]scenarioCell, 0, len(cells))
+	kept := make([]cli.Cell, 0, len(cells))
 	for _, c := range cells {
-		if runner.ShardOf(c.built.Key(), sh.count) == sh.index {
+		if runner.ShardOf(c.Built.Key(), sh.count) == sh.index {
 			kept = append(kept, c)
 		}
 	}
 	return kept
 }
 
+// archiveCells writes each cell's archive — telemetry payload, series
+// CSVs and, when recorded, decision trace — into dir for palreport and
+// palexplain. Scenario names may repeat across specs, so a repeated
+// name collides into a key-suffixed base instead of overwriting.
+func archiveCells(dir string, cells []cli.Cell, results []*sim.Result) error {
+	seen := make(map[string]bool)
+	for i, c := range cells {
+		b := c.Built
+		base := b.Spec.Name
+		if seen[base] {
+			base = fmt.Sprintf("%s-%s", base, b.Key()[:8])
+		}
+		seen[b.Spec.Name] = true
+		if _, _, err := cli.WriteArchive(dir, base, b.Key(), results[i]); err != nil {
+			return fmt.Errorf("scenario %s: %w", b.Spec.Name, err)
+		}
+	}
+	return nil
+}
+
 // scenarioTable assembles the one-row-per-cell summary table in cell
-// order and, with metricsDir set, archives each cell's telemetry
-// payload (and decision trace, when recorded) there for palreport and
-// palexplain. Returns the table and the number of archived payloads.
-func scenarioTable(cells []scenarioCell, results []*sim.Result, metricsDir string) (*experiments.Table, int, error) {
+// order.
+func scenarioTable(cells []cli.Cell, results []*sim.Result) *experiments.Table {
 	table := &experiments.Table{
 		Name:  "scenarios",
 		Title: "declarative scenario sweep",
 		Header: []string{"scenario", "workload", "jobs", "gpus", "policy", "sched",
 			"avg_jct_s", "p50_jct_s", "p99_jct_s", "mean_wait_s", "makespan_h", "util_pct", "rounds", "truncated"},
 	}
-	seenBase := make(map[string]bool)
-	archived := 0
 	for i, c := range cells {
-		b := c.built
+		b := c.Built
 		res := results[i]
-		if metricsDir != "" {
-			payload := metrics.FromResult(res)
-			if payload == nil {
-				return nil, 0, fmt.Errorf("scenario %s: no metrics payload on result", b.Spec.Name)
-			}
-			// Stamp the key on a copy: the payload may be shared through
-			// the result cache. Scenario names may repeat across specs, so
-			// collide into key-suffixed file names instead of overwriting.
-			p := *payload
-			p.Key = b.Key()
-			base := b.Spec.Name
-			if seenBase[base] {
-				base = fmt.Sprintf("%s-%s", base, p.Key[:8])
-			}
-			seenBase[b.Spec.Name] = true
-			if _, err := export.WriteMetricsDir(metricsDir, base, &p); err != nil {
-				return nil, 0, err
-			}
-			if tr := decision.FromResult(res); tr != nil {
-				// Specs with a decisions block get their trace archived
-				// next to the payload, ready for palexplain.
-				t := *tr
-				t.Key = b.Key()
-				if _, err := export.WriteDecisionsFile(metricsDir, base, &t); err != nil {
-					return nil, 0, err
-				}
-			}
-			archived++
-		}
 		jcts := res.JCTs()
 		truncated := ""
 		if res.Truncated {
@@ -518,9 +410,9 @@ func scenarioTable(cells []scenarioCell, results []*sim.Result, metricsDir strin
 			b.Spec.Policy.Name, b.Spec.Sched.Name,
 			stats.Mean(jcts), stats.Percentile(jcts, 50), stats.Percentile(jcts, 99),
 			stats.Mean(res.Waits()), res.Makespan/3600, 100*res.Utilization, res.Rounds, truncated)
-		table.Note("%s: key %s (%s)", b.Spec.Name, b.Key()[:16], c.path)
+		table.Note("%s: key %s (%s)", b.Spec.Name, b.Key()[:16], c.Path)
 	}
-	return table, archived, nil
+	return table
 }
 
 // forkRun builds the Run and Forked hooks for one fork-bearing cell:
@@ -575,10 +467,10 @@ func forkRun(snapCache *runner.SnapshotCache, b *scenario.Built) (run func() (*s
 // with a row per cell. With metricsDir set, every spec's telemetry
 // block is force-enabled and the collected payloads are archived there
 // for palreport. With a shard selector, only this shard's slice of the
-// expanded cells runs. snapCache, when non-nil, routes fork-bearing
-// cells through the shared snapshot cache (-snapshots).
-func runScenarioSweep(ctx context.Context, pool *runner.Pool, snapCache *runner.SnapshotCache, paths []string, format, outDir, metricsDir string, decisions, quiet bool, shard shardSpec, start time.Time) {
-	cells, err := loadScenarioCells(paths, metricsDir != "", decisions)
+// expanded cells runs. The session's snapshot tier, when open, routes
+// fork-bearing cells through the shared snapshot cache (-snapshots).
+func runScenarioSweep(ctx context.Context, sess *cli.Session, paths []string, format, outDir, metricsDir string, decisions, quiet bool, shard shardSpec, start time.Time) {
+	cells, err := cli.LoadCells(paths, metricsDir != "", decisions)
 	if err != nil {
 		fatal(err)
 	}
@@ -587,25 +479,25 @@ func runScenarioSweep(ctx context.Context, pool *runner.Pool, snapCache *runner.
 	}
 	total := len(cells)
 	cells = filterShard(cells, shard)
-	sweep := runner.NewSweep(pool)
+	sweep := runner.NewSweep(sess.Pool)
 	engineCtrs := make([]*sim.Counters, len(cells))
 	for i, c := range cells {
-		run := c.built // capture per iteration for the task closure
+		run := c.Built // capture per iteration for the task closure
 		// Each cell gets its own engine-counter instance (a Built drives
 		// one task here, so the no-concurrent-runs contract holds); the
 		// runner hands them to the journal probe for executed cells, and
-		// the sweep summary below merges them.
+		// the session's engine summary merges them.
 		ctrs := &sim.Counters{}
 		run.Counters = ctrs
 		engineCtrs[i] = ctrs
 		t := runner.Task{
 			Key:      run.Key(),
-			Label:    fmt.Sprintf("scenario %s (%s)", run.Spec.Name, c.path),
+			Label:    fmt.Sprintf("scenario %s (%s)", run.Spec.Name, c.Path),
 			Run:      func() (*sim.Result, error) { return run.Run() },
 			Counters: func() *sim.Counters { return ctrs },
 		}
-		if snapCache != nil && run.Forked() {
-			t.Run, t.Forked = forkRun(snapCache, run)
+		if sess.Snaps != nil && run.Forked() {
+			t.Run, t.Forked = forkRun(sess.Snaps, run)
 		}
 		sweep.AddTask(t)
 	}
@@ -617,11 +509,12 @@ func runScenarioSweep(ctx context.Context, pool *runner.Pool, snapCache *runner.
 		}
 		fatal(err)
 	}
-	table, archived, err := scenarioTable(cells, results, metricsDir)
-	if err != nil {
-		fatal(err)
+	if metricsDir != "" {
+		if err := archiveCells(metricsDir, cells, results); err != nil {
+			fatal(err)
+		}
 	}
-	if err := export.Emit(table, format, outDir); err != nil {
+	if err := export.Emit(scenarioTable(cells, results), format, outDir); err != nil {
 		fatal(err)
 	}
 	if !quiet {
@@ -630,20 +523,14 @@ func runScenarioSweep(ctx context.Context, pool *runner.Pool, snapCache *runner.
 				shard.index, shard.count, len(cells), total)
 		}
 		fmt.Fprintf(os.Stderr, "palsweep: %d scenarios, %s, %d workers, %.1fs total\n",
-			len(cells), runner.CacheSummary(pool), pool.Workers(), time.Since(start).Seconds())
-		// Engine summary: cells served from a cache tier contribute zeros
-		// (no engine stepped here), so the line describes this process's
-		// actual simulation work.
-		engineTotal := &sim.Counters{}
+			len(cells), sess.CacheSummary(), sess.Pool.Workers(), time.Since(start).Seconds())
 		for _, c := range engineCtrs {
-			engineTotal.Add(c)
+			sess.Engine.Add(c)
 		}
-		if engineTotal.TotalRounds() > 0 {
-			fmt.Fprintf(os.Stderr, "palsweep: %s\n", engineTotal.Summary())
-		}
-		if archived > 0 {
+		sess.EngineSummary(os.Stderr)
+		if metricsDir != "" && len(cells) > 0 {
 			fmt.Fprintf(os.Stderr, "palsweep: archived %d metric payloads to %s (aggregate with palreport -in %s)\n",
-				archived, metricsDir, metricsDir)
+				len(cells), metricsDir, metricsDir)
 		}
 	}
 }

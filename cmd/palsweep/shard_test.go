@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/export"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -42,7 +43,7 @@ func writeShardGrid(t *testing.T, dir string) string {
 // runCells executes the given cells through a fresh pool and cache,
 // optionally backed by a store handle, and returns the results in cell
 // order plus the pool's counters.
-func runCells(t *testing.T, cells []scenarioCell, st *store.Store) ([]*sim.Result, runner.Stats) {
+func runCells(t *testing.T, cells []cli.Cell, st *store.Store) ([]*sim.Result, runner.Stats) {
 	t.Helper()
 	cache := runner.NewResultCache(0)
 	if st != nil {
@@ -51,7 +52,7 @@ func runCells(t *testing.T, cells []scenarioCell, st *store.Store) ([]*sim.Resul
 	pool := runner.NewPool(4, cache)
 	sweep := runner.NewSweep(pool)
 	for _, c := range cells {
-		run := c.built
+		run := c.Built
 		sweep.Add(run.Key(), run.Spec.Name, func() (*sim.Result, error) { return run.Run() })
 	}
 	results, err := sweep.Run(context.Background())
@@ -89,7 +90,7 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	specPath := writeShardGrid(t, dir)
 
-	cells, err := loadScenarioCells([]string{specPath}, false, false)
+	cells, err := cli.LoadCells([]string{specPath}, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +103,10 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 	if refStats.Executed != int64(len(cells)) {
 		t.Fatalf("reference run executed %d of %d cells", refStats.Executed, len(cells))
 	}
-	refTable, _, err := scenarioTable(cells, refResults, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	refTable := scenarioTable(cells, refResults)
 	refByKey := make(map[string][]byte, len(cells))
 	for i, c := range cells {
-		refByKey[c.built.Key()] = encodeResult(t, refResults[i])
+		refByKey[c.Built.Key()] = encodeResult(t, refResults[i])
 	}
 
 	// Three shard "processes": independent pools, caches and store
@@ -128,9 +126,9 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 			t.Errorf("shard %d/%d executed %d of its %d cells", i, n, stats.Executed, len(kept))
 		}
 		for j, c := range kept {
-			key := c.built.Key()
+			key := c.Built.Key()
 			if _, dup := unionByKey[key]; dup {
-				t.Fatalf("cell %s assigned to more than one shard", c.built.Spec.Name)
+				t.Fatalf("cell %s assigned to more than one shard", c.Built.Spec.Name)
 			}
 			unionByKey[key] = encodeResult(t, results[j])
 		}
@@ -142,9 +140,9 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 
 	// Union of shards deep-equals the unsharded sweep, cell by cell.
 	for _, c := range cells {
-		key := c.built.Key()
+		key := c.Built.Key()
 		if !bytes.Equal(unionByKey[key], refByKey[key]) {
-			t.Errorf("cell %s: sharded result differs from unsharded reference", c.built.Spec.Name)
+			t.Errorf("cell %s: sharded result differs from unsharded reference", c.Built.Spec.Name)
 		}
 	}
 
@@ -159,10 +157,7 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 	if mergedStats.Executed != 0 {
 		t.Errorf("merged pass over the shared store executed %d simulations, want 0", mergedStats.Executed)
 	}
-	mergedTable, _, err := scenarioTable(cells, mergedResults, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	mergedTable := scenarioTable(cells, mergedResults)
 	if refTable.String() != mergedTable.String() {
 		t.Errorf("merged table differs from unsharded reference:\n--- unsharded\n%s\n--- merged\n%s",
 			refTable.String(), mergedTable.String())
@@ -205,11 +200,11 @@ func storeVerify(t *testing.T, dir string) []store.Problem {
 func TestShardFilterDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	specPath := writeShardGrid(t, dir)
-	cells, err := loadScenarioCells([]string{specPath}, false, false)
+	cells, err := cli.LoadCells([]string{specPath}, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reversed := make([]scenarioCell, len(cells))
+	reversed := make([]cli.Cell, len(cells))
 	for i, c := range cells {
 		reversed[len(cells)-1-i] = c
 	}
@@ -217,11 +212,11 @@ func TestShardFilterDeterministic(t *testing.T) {
 		sh := shardSpec{index: i, count: 3}
 		forward := map[string]bool{}
 		for _, c := range filterShard(cells, sh) {
-			forward[c.built.Key()] = true
+			forward[c.Built.Key()] = true
 		}
 		backward := map[string]bool{}
 		for _, c := range filterShard(reversed, sh) {
-			backward[c.built.Key()] = true
+			backward[c.Built.Key()] = true
 		}
 		if len(forward) != len(backward) {
 			t.Fatalf("shard %d selects %d cells forward, %d reversed", i, len(forward), len(backward))

@@ -113,24 +113,6 @@ func (w *Writer) ObserveTask(sp runner.TaskSpan) {
 	_ = w.append(ev) // degraded, surfaced by Close
 }
 
-// SummaryOf builds the summary record of a process whose tasks ran
-// through pool: the pool's and its result cache's lifetime counters,
-// the cache's circuit-breaker state and, when probe is non-nil, the
-// store probe's per-op aggregates. palsweep and palsim both close
-// their journals with it.
-func SummaryOf(pool *runner.Pool, probe *BackendProbe) Summary {
-	sum := Summary{Runner: pool.Stats()}
-	if c := pool.Cache(); c != nil {
-		cs := c.Stats()
-		sum.Cache = &cs
-		sum.StoreDetached = c.BackendDetached()
-	}
-	if probe != nil {
-		sum.StoreGet, sum.StorePut = probe.Stats()
-	}
-	return sum
-}
-
 // Close appends the summary record — stamping EndMS, Type and the Go
 // runtime memory statistics — and closes the file. It returns the
 // first append failure, if any, so CLIs can warn once.

@@ -62,6 +62,10 @@ func NewSnapshotCache(backend SnapshotBackend) *SnapshotCache {
 	return c
 }
 
+// BackendDetached reports whether the circuit breaker dropped the
+// backend: later captures were not persisted.
+func (c *SnapshotCache) BackendDetached() bool { return c.t.detached() }
+
 // Stats returns the cache's counters.
 func (c *SnapshotCache) Stats() SnapshotCacheStats {
 	n, _ := c.t.counts()

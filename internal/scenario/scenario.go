@@ -31,7 +31,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 
@@ -264,15 +263,6 @@ func Parse(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// Read parses a spec from a reader.
-func Read(r io.Reader) (*Spec, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: read: %w", err)
-	}
-	return Parse(data)
 }
 
 // LoadFile parses the spec in the named file.
