@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/journal"
-	"repro/internal/scenario"
 )
 
 // journalTestSpec is a small single-run scenario: one simulation, one
@@ -50,11 +49,7 @@ func TestSingleRunJournalReconciles(t *testing.T) {
 	if err := os.WriteFile(specPath, []byte(journalTestSpec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := scenario.LoadFile(specPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, err := spec.Build()
+	built, err := prepare(configFlags{}, specPath, outputFlags{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +58,7 @@ func TestSingleRunJournalReconciles(t *testing.T) {
 	// Cold run: simulate, store, journal one executed span.
 	coldDir := filepath.Join(dir, "journal-cold")
 	cold := openSession(t, storeDir, coldDir)
-	built.Counters = cold.Engine
-	res := run(cold, built.Key(), built.Spec.Name, built.Run)
+	res := runSpec(io.Discard, cold, built, "", outputFlags{})
 	ranCounters := *cold.Engine
 	finish(io.Discard, cold)
 
@@ -116,8 +110,7 @@ func TestSingleRunJournalReconciles(t *testing.T) {
 	// with no counters attached — no engine stepped in this process.
 	warmDir := filepath.Join(dir, "journal-warm")
 	warm := openSession(t, storeDir, warmDir)
-	built.Counters = warm.Engine
-	warmRes := run(warm, built.Key(), built.Spec.Name, built.Run)
+	warmRes := runSpec(io.Discard, warm, built, "", outputFlags{})
 	finish(io.Discard, warm)
 	if warmRes.Rounds != res.Rounds {
 		t.Errorf("warm store hit returned %d rounds, cold run had %d", warmRes.Rounds, res.Rounds)
@@ -147,9 +140,9 @@ func TestSingleRunJournalReconciles(t *testing.T) {
 func TestStoreGetFailureDegrades(t *testing.T) {
 	path := writeSpec(t, journalTestSpec)
 	storeDir := filepath.Join(t.TempDir(), "store")
-	var want, coldErr bytes.Buffer
+	var coldErr bytes.Buffer
 	cold := openSession(t, storeDir, "")
-	runScenario(&want, cold, path, "", outputFlags{})
+	_, want := runPalsim(t, cold, configFlags{}, path, outputFlags{})
 	finish(&coldErr, cold)
 	if strings.Contains(coldErr.String(), "WARNING") {
 		t.Fatalf("healthy cold run warned:\n%s", coldErr.String())
@@ -163,12 +156,12 @@ func TestStoreGetFailureDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var got, stderr bytes.Buffer
+	var stderr bytes.Buffer
 	warm := openSession(t, storeDir, "")
-	runScenario(&got, warm, path, "", outputFlags{})
+	_, got := runPalsim(t, warm, configFlags{}, path, outputFlags{})
 	finish(&stderr, warm)
-	if got.String() != want.String() {
-		t.Errorf("degraded run reported\n%s\nwant\n%s", got.String(), want.String())
+	if got != want {
+		t.Errorf("degraded run reported\n%s\nwant\n%s", got, want)
 	}
 	for _, line := range []string{
 		"palsim: 1 simulated, 0 cache hits (0 memory, 0 store), 1 stored, 1 store errors\n",

@@ -15,12 +15,21 @@
 //	palsim -scenario spec.json -journal out/journal        # append an execution-journal record
 //	palsim -trace sia -workload 5 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// With -scenario, the whole configuration comes from the JSON spec
-// (internal/scenario documents the format) and the other
-// simulation-shaping flags are rejected to prevent silently-ignored
-// knobs. -metrics works on both paths: it attaches the fast-forward-safe
-// collector (internal/metrics) and dumps the run's series and payload
-// into the named directory, ready for cmd/palreport.
+// The configuration flags lower into a scenario spec (internal/scenario
+// documents the format): -trace sia -workload N is the sia-philly
+// workload source, -trace synergy -load L -jobs J the synergy source,
+// -nodes the cluster size (default 16 for sia, 64 for synergy), -policy
+// and -sched the registry names, -lacross and -per-model-lacross the
+// locality block, -seed the root seed. With -scenario the whole
+// configuration comes from the JSON spec instead, and those flags are
+// rejected to prevent silently-ignored knobs. Either way the spec is
+// validated before anything is created on disk and then runs through
+// one path: the output flags switch its metrics and decisions blocks
+// on, the run is the session pool's one task under the spec's cache
+// key, and -dump-trace, -metrics and the report work the same for both.
+// -metrics attaches the fast-forward-safe collector (internal/metrics)
+// and dumps the run's series and payload into the named directory,
+// ready for cmd/palreport.
 //
 // With -journal, the run appends an execution journal (internal/journal)
 // into the named directory — one task record naming whether the result
@@ -39,36 +48,33 @@ import (
 	"slices"
 
 	"repro/internal/cli"
-	"repro/internal/cluster"
 	"repro/internal/decision"
-	"repro/internal/experiments"
 	"repro/internal/export"
 	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 func main() {
+	var cf configFlags
+	flag.StringVar(&cf.trace, "trace", defaults.trace, "trace family: sia or synergy")
+	flag.IntVar(&cf.workload, "workload", defaults.workload, "Sia-Philly workload index (1-8)")
+	flag.Float64Var(&cf.load, "load", defaults.load, "Synergy job arrival rate (jobs/hour)")
+	flag.IntVar(&cf.jobs, "jobs", defaults.jobs, "Synergy trace length")
+	flag.StringVar(&cf.policy, "policy", defaults.policy, "placement policy: random-sticky, random, gandiva, tiresias, pm-first, pal")
+	flag.StringVar(&cf.sched, "sched", defaults.sched, "scheduling policy: fifo, las, srtf")
+	flag.IntVar(&cf.nodes, "nodes", defaults.nodes, "cluster nodes (default: 16 for sia, 64 for synergy)")
+	flag.Float64Var(&cf.lacross, "lacross", defaults.lacross, "inter-node locality penalty")
+	flag.BoolVar(&cf.perModel, "per-model-lacross", defaults.perModel, "use per-model locality penalties (Table II)")
+	flag.Uint64Var(&cf.seed, "seed", defaults.seed, "experiment seed")
 	var (
-		traceKind  = flag.String("trace", "sia", "trace family: sia or synergy")
-		workload   = flag.Int("workload", 1, "Sia-Philly workload index (1-8)")
-		load       = flag.Float64("load", 10, "Synergy job arrival rate (jobs/hour)")
-		jobs       = flag.Int("jobs", 800, "Synergy trace length")
-		policy     = flag.String("policy", "pal", "placement policy: random-sticky, random, gandiva, tiresias, pm-first, pal")
-		schedName  = flag.String("sched", "fifo", "scheduling policy: fifo, las, srtf")
-		nodes      = flag.Int("nodes", 0, "cluster nodes (default: 16 for sia, 64 for synergy)")
-		lacross    = flag.Float64("lacross", 1.5, "inter-node locality penalty")
-		perModel   = flag.Bool("per-model-lacross", false, "use per-model locality penalties (Table II)")
-		seed       = flag.Uint64("seed", 0xE4B, "experiment seed")
 		utilize    = flag.Bool("util", false, "print the GPUs-in-use series (deciles), read from the metrics collector")
 		events     = flag.Int("events", 0, "print the first N jobs' lifecycle records (arrival, first run, finish, preemptions, migrations, rejected); palexplain -job has the per-event timeline")
 		asJSON     = flag.Bool("json", false, "print aggregate metrics as JSON")
 		scenPath   = flag.String("scenario", "", "run a declarative scenario spec (JSON) instead of the flag-built configuration")
-		dumpTrace  = flag.String("dump-trace", "", "with -scenario: save the scenario's workload as JSON for replay via a file-sourced spec")
+		dumpTrace  = flag.String("dump-trace", "", "save the run's workload as JSON for replay via a file-sourced spec")
 		metricsDir = flag.String("metrics", "", "collect telemetry and dump the run's series (CSV) and payload (JSON) into this directory")
 		decisions  = flag.Bool("decisions", false, "record the decision trace (internal/decision); with -metrics, the trace is archived next to the payload for palexplain")
 		storeDir   = flag.String("store", "", "persistent result-store directory: repeat runs of the same configuration load from disk instead of simulating")
@@ -78,6 +84,15 @@ func main() {
 	)
 	flag.Parse()
 
+	out := outputFlags{
+		asJSON: *asJSON, events: *events, utilize: *utilize,
+		metricsDir: *metricsDir, decisions: *decisions,
+	}
+	built, err := prepare(cf, *scenPath, out)
+	if err != nil {
+		fatal(2, err)
+	}
+
 	sess, err := cli.Open("palsim", cli.Flags{
 		Workers: 1, CacheCap: 1, Store: *storeDir, Journal: *journalDir,
 		CPUProfile: *cpuProfile, MemProfile: *memProfile,
@@ -85,67 +100,86 @@ func main() {
 	if err != nil {
 		fatal(2, err)
 	}
-
-	out := outputFlags{
-		asJSON: *asJSON, events: *events, utilize: *utilize,
-		metricsDir: *metricsDir, decisions: *decisions,
-	}
-	if *scenPath != "" {
-		runScenario(os.Stdout, sess, *scenPath, *dumpTrace, out)
-		finish(os.Stderr, sess)
-		return
-	}
-	if *dumpTrace != "" {
-		fatal(2, fmt.Errorf("-dump-trace requires -scenario"))
-	}
-
-	pol, ok := policyByName(*policy)
-	if !ok {
-		fatal(2, fmt.Errorf("unknown policy %q", *policy))
-	}
-	s := sched.ByName(*schedName)
-	if s == nil {
-		fatal(2, fmt.Errorf("unknown scheduler %q", *schedName))
-	}
-
-	var (
-		tr   *trace.Trace
-		topo cluster.Topology
-	)
-	switch *traceKind {
-	case "sia":
-		tr = experiments.SiaTrace(*workload)
-		topo = experiments.SiaTopology()
-	case "synergy":
-		params := trace.DefaultSynergyParams(*load)
-		params.NumJobs = *jobs
-		tr = trace.Synergy(params)
-		topo = experiments.SynergyTopology()
-	default:
-		fatal(2, fmt.Errorf("unknown trace family %q", *traceKind))
-	}
-	if *nodes > 0 {
-		topo = cluster.Topology{NumNodes: *nodes, GPUsPerNode: experiments.GPUsPerNode}
-	}
-
-	spec := experiments.RunSpec{
-		Trace:           tr,
-		Topo:            topo,
-		Sched:           s,
-		Policy:          pol,
-		Profile:         experiments.LonghornProfile(topo.Size()),
-		Lacross:         *lacross,
-		Seed:            *seed,
-		RecordDecisions: *decisions,
-	}
-	if *perModel {
-		spec.ModelLacross = trace.LacrossByModel()
-	}
-	runFlagSpec(os.Stdout, sess, spec, out)
+	runSpec(os.Stdout, sess, built, *dumpTrace, out)
 	finish(os.Stderr, sess)
 }
 
-// outputFlags are the output-shaping flags both run paths honor.
+// configFlags are the simulation-shaping flags, which lower into a
+// scenario spec.
+type configFlags struct {
+	trace, policy, sched string
+	workload, jobs       int
+	nodes                int
+	load, lacross        float64
+	perModel             bool
+	seed                 uint64
+}
+
+// defaults are the configuration flags' default values.
+var defaults = configFlags{
+	trace: "sia", workload: 1, load: 10, jobs: 800, policy: "pal", sched: "fifo",
+	lacross: 1.5, seed: 0xE4B,
+}
+
+// spec lowers the flags into the scenario spec they describe. The
+// name labels the run like the archive files it writes:
+// <trace>-<policy>-<sched>.
+func (c configFlags) spec() (*scenario.Spec, error) {
+	// A zero in a spec selects the default; as a flag value it is out of
+	// range, so it is rejected instead of silently running the default.
+	if c.workload < 1 || c.load <= 0 || c.jobs < 1 || c.lacross < 1 || c.seed == 0 {
+		return nil, fmt.Errorf("out-of-range flag: want -workload >= 1, -load > 0, -jobs >= 1, -lacross >= 1 and -seed != 0")
+	}
+	s := &scenario.Spec{
+		Seed:     c.seed,
+		Cluster:  scenario.ClusterSpec{Nodes: c.nodes},
+		Policy:   scenario.PolicySpec{Name: c.policy},
+		Sched:    scenario.SchedSpec{Name: c.sched},
+		Locality: scenario.LocalitySpec{Lacross: c.lacross, PerModel: c.perModel},
+	}
+	var traceName string
+	switch c.trace {
+	case "sia":
+		s.Workload = scenario.WorkloadSpec{Source: "sia-philly", Workload: c.workload}
+		traceName = fmt.Sprintf("sia-philly-%d", c.workload)
+		if s.Cluster.Nodes == 0 {
+			s.Cluster.Nodes = 16
+		}
+	case "synergy":
+		s.Workload = scenario.WorkloadSpec{Source: "synergy", JobsPerHour: c.load, NumJobs: c.jobs}
+		traceName = fmt.Sprintf("synergy-%.1fjph", c.load)
+		if s.Cluster.Nodes == 0 {
+			s.Cluster.Nodes = 64
+		}
+	default:
+		return nil, fmt.Errorf("unknown trace family %q (want sia or synergy)", c.trace)
+	}
+	s.Name = fmt.Sprintf("%s-%s-%s", traceName, c.policy, c.sched)
+	return s, nil
+}
+
+// loadSpec reads the -scenario spec file. The spec owns the whole
+// configuration; a configuration flag alongside it would be silently
+// ignored, so the combination is rejected.
+func loadSpec(path string) (*scenario.Spec, error) {
+	conflicting := map[string]bool{
+		"trace": true, "workload": true, "load": true, "jobs": true,
+		"policy": true, "sched": true, "nodes": true, "lacross": true,
+		"per-model-lacross": true, "seed": true,
+	}
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		if conflicting[f.Name] && err == nil {
+			err = fmt.Errorf("-%s conflicts with -scenario (the spec sets it)", f.Name)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return scenario.LoadFile(path)
+}
+
+// outputFlags are the output-shaping flags every run honors.
 type outputFlags struct {
 	asJSON     bool
 	events     int  // print the first N lifecycle records
@@ -168,38 +202,106 @@ func (o outputFlags) collector() (on bool, series []string) {
 	return false, nil
 }
 
-// runFlagSpec runs the flag-built configuration through the session
-// and prints or archives its outputs. It returns the result for tests.
-func runFlagSpec(w io.Writer, s *cli.Session, spec experiments.RunSpec, out outputFlags) *sim.Result {
-	spec.RecordMetrics, spec.MetricsSeries = out.collector()
-	spec.Counters = s.Engine
-	policy, schedName := spec.Policy.RegistryName(), spec.Sched.Name()
-	label := fmt.Sprintf("%s %s %s", spec.Trace.Name, policy, schedName)
-	res := run(s, spec.Key(), label, func() (*sim.Result, error) {
-		return experiments.Run(spec)
-	})
-	if out.metricsDir != "" {
-		dumpMetrics(out.metricsDir, fmt.Sprintf("%s-%s-%s", spec.Trace.Name, policy, schedName), res, spec.Key())
+// prepare readies the run's spec: the -scenario file at path, or else
+// the one the configuration flags describe. -events, -util, -metrics
+// and -decisions are output-shaping flags, not configuration, so they
+// are honored by switching the spec's metrics and decisions blocks on
+// (with a re-Normalize so the forced spec canonicalizes — and
+// cache-keys — exactly like a file that enabled them). The spec is
+// then validated and built, and its policy and scheduler names are
+// resolved, so every configuration error surfaces before the session
+// creates a journal or a store.
+func prepare(cf configFlags, path string, out outputFlags) (*scenario.Built, error) {
+	var (
+		spec *scenario.Spec
+		err  error
+	)
+	if path != "" {
+		spec, err = loadSpec(path)
+	} else {
+		spec, err = cf.spec()
 	}
-	header := fmt.Sprintf("trace=%s jobs=%d cluster=%d GPUs policy=%s sched=%s lacross=%.2f",
-		spec.Trace.Name, len(spec.Trace.Jobs), spec.Topo.Size(), spec.Policy, schedName, spec.Lacross)
-	report(w, header, res, out)
-	return res
+	if err != nil {
+		return nil, err
+	}
+	if on, series := out.collector(); on {
+		switch {
+		case !spec.Metrics.Enabled:
+			spec.Metrics.Enabled, spec.Metrics.Series = true, series
+		case out.utilize && len(spec.Metrics.Series) > 0 && !slices.Contains(spec.Metrics.Series, metrics.SeriesGPUsInUse):
+			// The spec's own collector leaves out the series -util reads.
+			spec.Metrics.Series = append(spec.Metrics.Series, metrics.SeriesGPUsInUse)
+		}
+	}
+	if out.decisions {
+		spec.Decisions.Enabled = true
+	}
+	spec.Normalize()
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	built, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	// Lowering builds the named policies; the configs are discarded.
+	if _, err := built.Config(); err != nil {
+		return nil, err
+	}
+	if built.Forked() {
+		if _, err := built.WarmupConfig(); err != nil {
+			return nil, err
+		}
+	}
+	return built, nil
 }
 
-// run executes the simulation as the session pool's one task under its
-// content-addressed key: the cache loads a stored result instead of
-// simulating, persists a fresh one, and degrades to simulating when
-// the store fails.
-func run(s *cli.Session, key, label string, fn func() (*sim.Result, error)) *sim.Result {
+// runSpec runs the built spec as the session pool's one task under its
+// content-addressed key — the cache loads a stored result instead of
+// simulating, persists a fresh one, and degrades to simulating when the
+// store fails — then saves the workload (-dump-trace), archives the
+// telemetry (-metrics) and prints the report. It returns the result for
+// tests.
+func runSpec(w io.Writer, s *cli.Session, built *scenario.Built, dumpTrace string, out outputFlags) *sim.Result {
+	spec := built.Spec
+	built.Counters = s.Engine
+	if dumpTrace != "" {
+		saveTrace(built, dumpTrace)
+	}
+	key := built.Key()
 	res, err := s.Pool.Run(context.Background(), []runner.Task{{
-		Key: key, Label: label, Run: fn,
+		Key: key, Label: "scenario " + spec.Name, Run: built.Run,
 		Counters: func() *sim.Counters { return s.Engine },
 	}})
 	if err != nil {
 		fatal(1, err)
 	}
+	if out.metricsDir != "" {
+		dumpMetrics(out.metricsDir, spec.Name, res[0], key)
+	}
+	header := fmt.Sprintf("scenario=%s trace=%s jobs=%d cluster=%d GPUs policy=%s sched=%s lacross=%.2f key=%s",
+		spec.Name, built.Trace.Name, len(built.Trace.Jobs), built.Topo.Size(),
+		spec.Policy.Name, spec.Sched.Name, spec.Locality.Lacross, key[:12])
+	report(w, header, res[0], out)
 	return res[0]
+}
+
+// saveTrace writes the built workload to path for replay through a
+// file-sourced spec.
+func saveTrace(built *scenario.Built, path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(1, err)
+	}
+	if err := built.Trace.Save(f); err == nil {
+		err = f.Close()
+	} else {
+		f.Close()
+	}
+	if err != nil {
+		fatal(1, fmt.Errorf("dump-trace: %w", err))
+	}
+	fmt.Fprintf(os.Stderr, "palsim: saved %d-job workload to %s\n", len(built.Trace.Jobs), path)
 }
 
 // finish writes the engine summary (when an engine stepped here) and
@@ -222,74 +324,6 @@ func dumpMetrics(dir, base string, res *sim.Result, key string) {
 	if tracePath != "" {
 		fmt.Fprintf(os.Stderr, "palsim: wrote decision trace %s (%d records)\n", tracePath, len(decision.FromResult(res).Records))
 	}
-}
-
-// runScenario executes a declarative scenario spec end to end and
-// returns the result for tests. -events, -util, -metrics and -decisions
-// are output-shaping flags, not configuration, so they are honored by
-// switching the spec's metrics and decisions blocks on (with a
-// re-Normalize so the forced spec canonicalizes — and cache-keys —
-// exactly like a file that enabled them).
-func runScenario(w io.Writer, s *cli.Session, path, dumpTrace string, out outputFlags) *sim.Result {
-	// The spec owns the whole configuration; a flag-built knob alongside
-	// it would be silently ignored, so reject the combination.
-	conflicting := map[string]bool{
-		"trace": true, "workload": true, "load": true, "jobs": true,
-		"policy": true, "sched": true, "nodes": true, "lacross": true,
-		"per-model-lacross": true, "seed": true,
-	}
-	flag.Visit(func(f *flag.Flag) {
-		if conflicting[f.Name] {
-			fatal(2, fmt.Errorf("-%s conflicts with -scenario (the spec sets it)", f.Name))
-		}
-	})
-
-	spec, err := scenario.LoadFile(path)
-	if err != nil {
-		fatal(2, err)
-	}
-	if on, series := out.collector(); on {
-		switch {
-		case !spec.Metrics.Enabled:
-			spec.Metrics.Enabled, spec.Metrics.Series = true, series
-		case out.utilize && len(spec.Metrics.Series) > 0 && !slices.Contains(spec.Metrics.Series, metrics.SeriesGPUsInUse):
-			// The spec's own collector leaves out the series -util reads.
-			spec.Metrics.Series = append(spec.Metrics.Series, metrics.SeriesGPUsInUse)
-		}
-	}
-	if out.decisions {
-		spec.Decisions.Enabled = true
-	}
-	spec.Normalize()
-	built, err := spec.Build()
-	if err != nil {
-		fatal(2, err)
-	}
-	built.Counters = s.Engine
-	if dumpTrace != "" {
-		f, err := os.Create(dumpTrace)
-		if err != nil {
-			fatal(1, err)
-		}
-		if err := built.Trace.Save(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fatal(1, fmt.Errorf("dump-trace: %w", err))
-		}
-		fmt.Fprintf(os.Stderr, "palsim: saved %d-job workload to %s\n", len(built.Trace.Jobs), dumpTrace)
-	}
-	res := run(s, built.Key(), "scenario "+spec.Name, built.Run)
-	if out.metricsDir != "" {
-		dumpMetrics(out.metricsDir, spec.Name, res, built.Key())
-	}
-	header := fmt.Sprintf("scenario=%s trace=%s jobs=%d cluster=%d GPUs policy=%s sched=%s lacross=%.2f key=%s",
-		spec.Name, built.Trace.Name, len(built.Trace.Jobs), built.Topo.Size(),
-		spec.Policy.Name, spec.Sched.Name, spec.Locality.Lacross, built.Key()[:12])
-	report(w, header, res, out)
-	return res
 }
 
 // report writes the run's aggregate metrics (as JSON with -json), then
@@ -375,22 +409,4 @@ func printDeciles(w io.Writer, inUse []float64) {
 func fatal(code int, err error) {
 	fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
 	os.Exit(code)
-}
-
-func policyByName(name string) (experiments.Policy, bool) {
-	switch name {
-	case "random-sticky":
-		return experiments.RandomSticky, true
-	case "random", "random-non-sticky":
-		return experiments.RandomNonSticky, true
-	case "gandiva", "packed-non-sticky":
-		return experiments.Gandiva, true
-	case "tiresias", "packed-sticky", "packed":
-		return experiments.Tiresias, true
-	case "pm-first", "pmfirst":
-		return experiments.PMFirst, true
-	case "pal":
-		return experiments.PALPolicy, true
-	}
-	return 0, false
 }

@@ -2,19 +2,64 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cli"
-	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
+
+const mainEnv = "PALSIM_TEST_MAIN"
+
+// TestMain re-executes the test binary as palsim when mainEnv is set,
+// so process-level tests see what a user sees: output, exit status and
+// the files left behind.
+func TestMain(m *testing.M) {
+	if os.Getenv(mainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// palsim runs the command with args and returns its stderr and exit
+// status.
+func palsim(t *testing.T, args ...string) (stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), mainEnv+"=1")
+	var errb bytes.Buffer
+	cmd.Stderr = &errb
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	case err != nil:
+		t.Fatal(err)
+	}
+	return errb.String(), code
+}
+
+// runPalsim prepares a configuration as main does — the -scenario spec
+// at path, or else the configuration flags cf — and runs it through s,
+// returning the result and the report.
+func runPalsim(t *testing.T, s *cli.Session, cf configFlags, path string, out outputFlags) (*sim.Result, string) {
+	t.Helper()
+	built, err := prepare(cf, path, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	res := runSpec(&buf, s, built, "", out)
+	return res, buf.String()
+}
 
 // seriesNames lists the metrics series a result carries.
 func seriesNames(t *testing.T, res *sim.Result) []string {
@@ -52,22 +97,12 @@ func coldThenWarm(t *testing.T, run func(s *cli.Session, out outputFlags) (*sim.
 	return res, cold
 }
 
-// synergyFlagSpec is the configuration `palsim -trace synergy -jobs 200`
-// builds from its flag defaults.
-func synergyFlagSpec() experiments.RunSpec {
-	params := trace.DefaultSynergyParams(10)
-	params.NumJobs = 200
-	topo := experiments.SynergyTopology()
-	return experiments.RunSpec{
-		Trace:   trace.Synergy(params),
-		Topo:    topo,
-		Sched:   sched.ByName("fifo"),
-		Policy:  experiments.PALPolicy,
-		Profile: experiments.LonghornProfile(topo.Size()),
-		Lacross: 1.5,
-		Seed:    0xE4B,
-	}
-}
+// synergyFlags is `palsim -trace synergy -jobs 200`.
+var synergyFlags = func() configFlags {
+	cf := defaults
+	cf.trace, cf.jobs = "synergy", 200
+	return cf
+}()
 
 // The deciles below are the values palsim printed for the same runs
 // from the engine-side series that the collector's gpus_in_use series
@@ -85,9 +120,7 @@ const (
 
 func TestUtilAndEventsFlagPath(t *testing.T) {
 	run := func(s *cli.Session, out outputFlags) (*sim.Result, string) {
-		var buf bytes.Buffer
-		res := runFlagSpec(&buf, s, synergyFlagSpec(), out)
-		return res, buf.String()
+		return runPalsim(t, s, synergyFlags, "", out)
 	}
 	res, report := coldThenWarm(t, run, outputFlags{utilize: true, events: 4})
 	if !strings.Contains(report, synergyDeciles) {
@@ -134,9 +167,7 @@ func writeSpec(t *testing.T, src string) string {
 func TestUtilAndEventsScenarioPath(t *testing.T) {
 	path := writeSpec(t, flagsTestSpec)
 	run := func(s *cli.Session, out outputFlags) (*sim.Result, string) {
-		var buf bytes.Buffer
-		res := runScenario(&buf, s, path, "", out)
-		return res, buf.String()
+		return runPalsim(t, s, configFlags{}, path, out)
 	}
 	res, report := coldThenWarm(t, run, outputFlags{utilize: true, events: 4})
 	if !strings.Contains(report, scenarioDeciles) {
@@ -151,11 +182,11 @@ func TestUtilAndEventsScenarioPath(t *testing.T) {
 
 	// Without -util or -events no collector is attached and neither
 	// block is printed.
-	var buf bytes.Buffer
-	if res := runScenario(&buf, openSession(t, "", ""), path, "", outputFlags{}); res.Metrics != nil {
+	res, bare := runPalsim(t, openSession(t, "", ""), configFlags{}, path, outputFlags{})
+	if res.Metrics != nil {
 		t.Error("a collector was attached without -util, -events or -metrics")
 	}
-	if s := buf.String(); strings.Contains(s, "in-use") || strings.Contains(s, "lifecycle") {
+	if s := bare; strings.Contains(s, "in-use") || strings.Contains(s, "lifecycle") {
 		t.Errorf("bare run printed collector output:\n%s", s)
 	}
 }
@@ -166,14 +197,13 @@ func TestUtilKeepsSpecCollector(t *testing.T) {
 	src := strings.Replace(flagsTestSpec, `"policy"`,
 		`"metrics": {"enabled": true, "series": ["queue_depth"]}, "policy"`, 1)
 	path := writeSpec(t, src)
-	var buf bytes.Buffer
-	res := runScenario(&buf, openSession(t, "", ""), path, "", outputFlags{utilize: true})
+	res, report := runPalsim(t, openSession(t, "", ""), configFlags{}, path, outputFlags{utilize: true})
 	want := []string{metrics.SeriesGPUsInUse, metrics.SeriesQueueDepth}
 	if got := seriesNames(t, res); !reflect.DeepEqual(got, want) {
 		t.Errorf("series %v, want %v", got, want)
 	}
-	if !strings.Contains(buf.String(), scenarioDeciles) {
-		t.Errorf("deciles line missing:\n%s", buf.String())
+	if !strings.Contains(report, scenarioDeciles) {
+		t.Errorf("deciles line missing:\n%s", report)
 	}
 }
 
@@ -194,6 +224,72 @@ func TestOutputFlagsCollector(t *testing.T) {
 		on, series := c.out.collector()
 		if on != c.on || !reflect.DeepEqual(series, c.series) {
 			t.Errorf("%s: collector() = %v, %v; want %v, %v", c.name, on, series, c.on, c.series)
+		}
+	}
+}
+
+// TestFlagsLowerToSpec: the configuration flags describe exactly the
+// scenario spec a file naming the same cell holds — same canonical
+// spec, same cache key — so both run through one path.
+func TestFlagsLowerToSpec(t *testing.T) {
+	path := writeSpec(t, `{
+  "name": "sia-philly-5-pal-fifo",
+  "seed": 3659,
+  "cluster": {"nodes": 16},
+  "workload": {"source": "sia-philly", "workload": 5},
+  "policy": {"name": "pal"}
+}`)
+	fromFile, err := prepare(configFlags{}, path, outputFlags{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf := defaults
+	cf.workload = 5
+	fromFlags, err := prepare(cf, "", outputFlags{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fromFlags.Key(), fromFile.Key(); got != want {
+		a, _ := fromFlags.Spec.Canonical()
+		b, _ := fromFile.Spec.Canonical()
+		t.Errorf("flag-built key %s, spec file key %s\nflags:\n%s\nfile:\n%s", got, want, a, b)
+	}
+	if n := fromFlags.Topo.NumNodes; n != 16 {
+		t.Errorf("sia cluster has %d nodes, want the 16-node default", n)
+	}
+	syn, err := prepare(synergyFlags, "", outputFlags{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := syn.Topo.NumNodes; n != 64 {
+		t.Errorf("synergy cluster has %d nodes, want the 64-node default", n)
+	}
+}
+
+// TestConfigErrorsCreateNothing: a configuration error exits 2 before
+// the session opens, leaving no journal file and no store directory
+// behind.
+func TestConfigErrorsCreateNothing(t *testing.T) {
+	for _, args := range [][]string{
+		{"-policy", "bogus"},
+		{"-policy", "pmfirst"},
+		{"-sched", "bogus"},
+		{"-trace", "bogus"},
+		{"-lacross", "0.5"},
+		{"-workload", "0"},
+		{"-trace", "synergy", "-load", "0"},
+		{"-seed", "0"},
+		{"-scenario", "missing.json"},
+		{"-scenario", "missing.json", "-seed", "3"},
+	} {
+		dir := t.TempDir()
+		stderr, code := palsim(t, append(args,
+			"-journal", filepath.Join(dir, "journal"), "-store", filepath.Join(dir, "store"))...)
+		if code != 2 {
+			t.Errorf("palsim %v exited %d, want 2; stderr:\n%s", args, code, stderr)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("palsim %v left %d entries behind (first %s)", args, len(entries), entries[0].Name())
 		}
 	}
 }

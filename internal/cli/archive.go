@@ -195,7 +195,14 @@ func ReadArchive(cmd, arg string, payloads, traces bool) (*Archive, error) {
 // readStore adds the store at dir to the archive: its keys, and the
 // payload and trace embedded in each stored result.
 func (a *Archive) readStore(cmd, dir string, payloads, traces bool) error {
-	hadCurrent := store.IsStore(dir)
+	if !store.IsStore(dir) {
+		// The root holds only older-codec trees; say so instead of letting
+		// the generic "no payloads found" hide the version mismatch. The
+		// store is not opened: Open would create the current codec's
+		// tree, and reading must leave the root as it found it.
+		fmt.Fprintf(os.Stderr, "%s: store %s holds no objects for the current codec (older-version trees present; re-run the sweeps, then `palstore gc` reclaims the old tree)\n", cmd, dir)
+		return nil
+	}
 	st, err := store.Open(dir)
 	if err != nil {
 		return err
@@ -203,11 +210,6 @@ func (a *Archive) readStore(cmd, dir string, payloads, traces bool) error {
 	keys, err := st.Keys()
 	if err != nil {
 		return err
-	}
-	if len(keys) == 0 && !hadCurrent {
-		// The root held only older-codec trees; say so instead of letting
-		// the generic "no payloads found" hide the version mismatch.
-		fmt.Fprintf(os.Stderr, "%s: store %s holds no objects for the current codec (older-version trees present; re-run the sweeps, then `palstore gc` reclaims the old tree)\n", cmd, dir)
 	}
 	skipped := 0
 	for _, key := range keys {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/decision"
@@ -140,4 +141,68 @@ func TestLoadCellsForcesBeforeExpansion(t *testing.T) {
 				i, k, want[i].Built.Key(), asWritten[i].Built.Key())
 		}
 	}
+}
+
+// TestReadOlderCodecStoreCreatesNothing: reading a root that holds only
+// an older codec's tree prints the older-codec note on every read and
+// leaves the root exactly as it was — reading opens no store, so it
+// creates no current-codec tree.
+func TestReadOlderCodecStoreCreatesNothing(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "store")
+	if err := os.MkdirAll(filepath.Join(root, "v1", "objects"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := listTree(t, root)
+	for i := 1; i <= 2; i++ {
+		var a *Archive
+		stderr := captureStderr(t, func() {
+			var err error
+			if a, err = ReadArchive("palreport", root, true, false); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !strings.Contains(stderr, "holds no objects for the current codec") {
+			t.Errorf("read %d: stderr %q lacks the older-codec note", i, stderr)
+		}
+		if len(a.Payloads) != 0 || len(a.Keys) != 0 {
+			t.Errorf("read %d: %d payloads, %d keys from an older-codec root", i, len(a.Payloads), len(a.Keys))
+		}
+		if after := listTree(t, root); !reflect.DeepEqual(after, before) {
+			t.Errorf("read %d changed the root: %v, was %v", i, after, before)
+		}
+	}
+}
+
+// listTree returns every path under root, relative to it.
+func listTree(t *testing.T, root string) []string {
+	t.Helper()
+	var paths []string
+	err := filepath.WalkDir(root, func(path string, _ os.DirEntry, err error) error {
+		rel, _ := filepath.Rel(root, path)
+		paths = append(paths, rel)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// captureStderr returns what fn writes to os.Stderr.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	fn()
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }

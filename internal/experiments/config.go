@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cluster"
-	"repro/internal/decision"
 	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/scenario"
@@ -87,12 +86,6 @@ type RunSpec struct {
 	// only gpus_in_use, and the other series would cost it memory on
 	// every cached result.
 	MetricsSeries []string
-	// RecordDecisions attaches a default-configured decision.Recorder
-	// (every facet, default ring size). The trace rides on
-	// Result.Decisions — including through the result cache — and is
-	// retrievable with decision.FromResult. Recording is
-	// fast-forward-safe, like RecordMetrics.
-	RecordDecisions bool
 
 	// Counters, when non-nil, receives the engine's introspection
 	// counters (sim.Config.Counters). It is an observation-only
@@ -163,10 +156,6 @@ func Run(spec RunSpec) (*sim.Result, error) {
 			Sched:  schedName,
 		}
 	}
-	var dc *decision.Config
-	if spec.RecordDecisions {
-		dc = &decision.Config{Label: spec.label(), Policy: policy, Sched: schedName}
-	}
 	cfg, err := scenario.Lower(sim.Config{
 		Topology:     spec.Topo,
 		Trace:        spec.Trace,
@@ -177,7 +166,7 @@ func Run(spec RunSpec) (*sim.Result, error) {
 		MeasureFirst: spec.MeasureFirst,
 		MeasureLast:  spec.MeasureLast,
 		Counters:     spec.Counters,
-	}, policy, policySeed(spec.Policy, spec.Seed), view, mc, dc)
+	}, policy, policySeed(spec.Policy, spec.Seed), view, mc, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}

@@ -8,12 +8,12 @@ import (
 // (Sia workload 1, PAL under FIFO, 64-GPU Longhorn cluster at the
 // default penalties and seed). Every field of RunSpec feeds this hash —
 // trace content, profile content, topology, scheduler, policy, penalty,
-// seed, window, recording flags — so silent drift in any of their
+// seed, window, metrics recording — so silent drift in any of their
 // encodings (the stale-cache bug class) fails here loudly. If you
 // *deliberately* changed the encoding, a generator, or a seed constant:
 // bump the version tag in RunSpec.Key and update the constant below in
 // the same commit.
-const goldenRunSpecKey = "2f22ae32b940b2b6ec5446b041dffaca4ab9bdc49a17138ed39d235db8d458bf"
+const goldenRunSpecKey = "2f22fad24206faa40b1ec737cf84d7e46a070d625e1b3c398053c12815afdd37"
 
 func TestGoldenRunSpecKey(t *testing.T) {
 	spec := RunSpec{
@@ -32,14 +32,9 @@ func TestGoldenRunSpecKey(t *testing.T) {
 	}
 
 	// The golden value must also be sensitive: flipping the recording
-	// flags has to move the key.
+	// flag has to move the key.
 	spec.RecordMetrics = true
 	if spec.Key() == goldenRunSpecKey {
 		t.Error("RecordMetrics does not feed the cache key (stale-cache hazard)")
-	}
-	spec.RecordMetrics = false
-	spec.RecordDecisions = true
-	if spec.Key() == goldenRunSpecKey {
-		t.Error("RecordDecisions does not feed the cache key (stale-cache hazard)")
 	}
 }

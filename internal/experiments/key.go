@@ -47,15 +47,17 @@ func profileDigest(p *vprof.Profile) string {
 // entries between instrumented and bare runs of the same simulation.
 func (s RunSpec) Key() string {
 	h := runner.NewHash()
-	// v5: the unused RoundSec and MigrationPenaltySec options left the
-	// encoding (every run takes the engine's default round length and
-	// the default migration penalty). v4: the engine's legacy
+	// v6: RecordDecisions left the encoding (decision traces come from
+	// scenario specs only). v5: the unused RoundSec and
+	// MigrationPenaltySec options left the encoding (every run takes the
+	// engine's default round length and the default migration penalty).
+	// v4: the engine's legacy
 	// utilization-series and event-log flags left the encoding and
 	// MetricsSeries joined it (a result must never alias one carrying
 	// other series). v3: RecordDecisions joined the encoding
 	// (a trace-carrying result must never alias a bare one in the cache);
 	// v2 added RecordMetrics for the same reason.
-	h.String("runspec/v5")
+	h.String("runspec/v6")
 
 	// Traces are regenerated per call site, so they hash by content,
 	// not pointer identity: equal workloads hash equal wherever they
@@ -107,6 +109,5 @@ func (s RunSpec) Key() string {
 			h.String(name)
 		}
 	}
-	h.Bool(s.RecordDecisions)
 	return h.Sum()
 }

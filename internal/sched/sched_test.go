@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -151,15 +152,18 @@ func TestOrderIsPermutationProperty(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"fifo", "las", "srtf"} {
-		s := ByName(name)
-		if s == nil || s.Name() != name {
-			t.Errorf("ByName(%q) = %v", name, s)
+// TestBuild: every registered name builds at default parameters into
+// the scheduler of that name, and an unknown name is an error naming
+// it.
+func TestBuild(t *testing.T) {
+	for _, name := range Names() {
+		s, err := Build(name, nil)
+		if err != nil || s.Name() != name {
+			t.Errorf("Build(%q) = %v, %v", name, s, err)
 		}
 	}
-	if ByName("nope") != nil {
-		t.Error("unknown name should be nil")
+	if _, err := Build("nope", nil); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Errorf("Build(\"nope\") error %v, want one naming the unknown scheduler", err)
 	}
 }
 
